@@ -8,7 +8,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/checkpoint.hpp"
+#include "core/shard_store.hpp"
 #include "core/weipipe_trainer.hpp"
 #include "nn/generate.hpp"
 
@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
         std::printf("  iter %3d  loss %.4f\n", it, r.mean_loss);
       }
     }
-    save_checkpoint(ckpt_path, trainer.export_state());
+    save_checkpoint(ckpt_path, trainer.state());
     std::printf("checkpoint written to %s\n\n", ckpt_path.c_str());
   }
 
   std::printf("phase 2: resume on a 2-worker ring from the checkpoint\n");
   WeiPipeTrainer trainer(cfg, 2);
-  trainer.import_state(load_checkpoint(ckpt_path));
+  trainer.load_state(load_checkpoint(ckpt_path));
   float final_loss = 0.0f;
   for (int it = half; it < total_iters; ++it) {
     const IterationResult r = trainer.train_iteration(data, it);

@@ -45,7 +45,7 @@ RunOutcome run_once(const ChaosConfig& config, const comm::FaultPlan* plan) {
   }
   out.weights = trainer->gather_block_params();
   if (config.capture_rank_state >= 0) {
-    out.rank_state = trainer->export_rank_state(config.capture_rank_state);
+    out.rank_state = trainer->state().serialize(config.capture_rank_state);
   }
   return out;
 }
@@ -65,7 +65,7 @@ std::vector<std::vector<std::uint8_t>> run_clean_rank_states(
   std::vector<std::vector<std::uint8_t>> states;
   states.reserve(static_cast<std::size_t>(config.world_size));
   for (int r = 0; r < config.world_size; ++r) {
-    states.push_back(trainer->export_rank_state(r));
+    states.push_back(trainer->state().serialize(r));
   }
   return states;
 }
@@ -108,7 +108,7 @@ ChaosReport run_chaos(const ChaosConfig& config) {
     chaos_weights = trainer->gather_block_params();
     if (config.capture_rank_state >= 0) {
       report.chaos_rank_state =
-          trainer->export_rank_state(config.capture_rank_state);
+          trainer->state().serialize(config.capture_rank_state);
     }
     report.completed = true;
   } catch (const Error& e) {

@@ -31,7 +31,7 @@ struct ChaosConfig {
   comm::FaultPlan plan;
   // Total tries per iteration when a stall aborts the step (resilience.hpp).
   int max_recovery_attempts = 3;
-  // Forked-rank mode: >= 0 captures Trainer::export_rank_state(rank) of
+  // Forked-rank mode: >= 0 captures Trainer::state().serialize(rank) of
   // both runs into the report, so a rank child can hand its shard to the
   // parent's cross-process differ. -1 (single-process mode) skips capture.
   int capture_rank_state = -1;
@@ -68,7 +68,7 @@ struct ChaosReport {
   comm::FaultStats fault_stats;
   std::vector<comm::FaultEvent> events;  // deterministic order
   // Filled when config.capture_rank_state >= 0: that rank's state blob
-  // after the clean and the chaos run (Trainer::export_rank_state).
+  // after the clean and the chaos run (Trainer::state().serialize(rank)).
   std::vector<std::uint8_t> clean_rank_state;
   std::vector<std::uint8_t> chaos_rank_state;
 
@@ -85,7 +85,7 @@ ChaosReport run_chaos(const ChaosConfig& config);
 
 // The parent side of the forked multi-process differ: one clean full-world
 // run of config.strategy on the current (typically inproc) transport,
-// returning export_rank_state(r) for every rank r — the reference blobs the
+// returning state().serialize(r) for every rank r — the reference blobs the
 // forked rank processes must reproduce bitwise over their real wire.
 std::vector<std::vector<std::uint8_t>> run_clean_rank_states(
     const ChaosConfig& config);

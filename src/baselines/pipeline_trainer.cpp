@@ -41,25 +41,13 @@ PipelineTrainer::PipelineTrainer(const TrainConfig& cfg,
   chunks_ = model_.make_chunks(p_);
   fabric_ = std::make_unique<comm::Fabric>(static_cast<int>(p_),
                                            opts_.link_model);
-  master_ = model_.init_chunk_params(chunks_, cfg_.seed);
-  adam_.reserve(chunks_.size());
-  for (const ChunkSpec& spec : chunks_) {
-    adam_.emplace_back(spec.param_count);
+  // Stage s owns chunk s: its weights and Adam state never move.
+  state_ = ShardStore(model_);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const auto blocks = chunks_[c].blocks();
+    state_.add(static_cast<int>(c), blocks,
+               model_.init_params(blocks, cfg_.seed));
   }
-  recharge_ledger();
-}
-
-void PipelineTrainer::recharge_ledger() {
-  std::int64_t weight_floats = 0;
-  for (const auto& m : master_) {
-    weight_floats += static_cast<std::int64_t>(m.size());
-  }
-  std::int64_t adam_floats = 0;
-  for (const AdamShard& shard : adam_) {
-    adam_floats += 2 * shard.size();
-  }
-  master_charge_.set(obs::MemKind::kWeights, 4 * weight_floats);
-  adam_charge_.set(obs::MemKind::kOptimizer, 4 * adam_floats);
 }
 
 IterationResult PipelineTrainer::train_iteration(const Dataset& data,
@@ -104,7 +92,8 @@ void PipelineTrainer::stage_body(int rank, comm::Endpoint& ep,
 
   // Stage compute weights: quantized copy of the fp32 master (mixed
   // precision emulation; identity in fp32 mode).
-  const std::vector<float>& m = master_[static_cast<std::size_t>(s)];
+  Shard& own = state_.shard(static_cast<std::size_t>(s));
+  const std::vector<float>& m = own.params;
   std::vector<float> w(m.size());
   for (std::size_t i = 0; i < m.size(); ++i) {
     w[i] = quantize(m[i], cfg_.precision.weights);
@@ -244,49 +233,7 @@ void PipelineTrainer::stage_body(int rank, comm::Endpoint& ep,
     }
   }
   obs::SpanScope opt_span(obs::SpanKind::kOptimizer, -1, s);
-  adam_[static_cast<std::size_t>(s)].step(
-      std::span<float>(master_[static_cast<std::size_t>(s)].data(),
-                       master_[static_cast<std::size_t>(s)].size()),
-      std::span<const float>(grads.data(), grads.size()),
-      cfg_.adam_for_iteration(iter_index));
+  own.adam.step(own.params, grads, cfg_.adam_for_iteration(iter_index));
 }
 
-std::vector<std::vector<float>> PipelineTrainer::gather_block_params() const {
-  std::vector<std::vector<float>> out(
-      static_cast<std::size_t>(model_.num_blocks()));
-  for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    const ChunkSpec& spec = chunks_[c];
-    for (std::int64_t b = spec.begin; b < spec.end; ++b) {
-      const std::int64_t off = model_.block_offset_in_chunk(spec, b);
-      const std::int64_t np = model_.block_param_count(b);
-      out[static_cast<std::size_t>(b)] = std::vector<float>(
-          master_[c].begin() + off, master_[c].begin() + off + np);
-    }
-  }
-  return out;
-}
-
-TrainerState PipelineTrainer::export_state() const {
-  return export_sharded_state(model_, chunks_, master_, adam_);
-}
-
-void PipelineTrainer::import_state(const TrainerState& state) {
-  import_sharded_state(model_, chunks_, state, master_, adam_);
-  recharge_ledger();
-}
-
-
-std::vector<std::uint8_t> PipelineTrainer::export_rank_state(
-    int rank) const {
-  // Stage `rank` permanently owns chunk `rank`.
-  const std::size_t s = static_cast<std::size_t>(rank);
-  WEIPIPE_CHECK_MSG(rank >= 0 && s < master_.size(),
-                    "export_rank_state: rank " << rank << " of "
-                                               << master_.size());
-  RankStateBlob blob;
-  blob.u64(1);
-  blob.record(s, adam_[s].step_count(), master_[s],
-              adam_[s].first_moment(), adam_[s].second_moment());
-  return blob.take();
-}
 }  // namespace weipipe

@@ -10,11 +10,8 @@
 #include <memory>
 
 #include "comm/fabric.hpp"
-#include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
-#include "nn/adam.hpp"
 #include "nn/model.hpp"
-#include "obs/ledger.hpp"
 
 namespace weipipe {
 
@@ -38,10 +35,6 @@ class PipelineTrainer final : public Trainer {
   std::string name() const override { return to_string(opts_.mode); }
   IterationResult train_iteration(const Dataset& data,
                                   std::int64_t iter_index) override;
-  std::vector<std::vector<float>> gather_block_params() const override;
-  TrainerState export_state() const override;
-  void import_state(const TrainerState& state) override;
-  std::vector<std::uint8_t> export_rank_state(int rank) const override;
 
   comm::Fabric* fabric() override { return fabric_.get(); }
 
@@ -55,13 +48,6 @@ class PipelineTrainer final : public Trainer {
   Model model_;
   std::vector<ChunkSpec> chunks_;
   std::unique_ptr<comm::Fabric> fabric_;
-  std::vector<std::vector<float>> master_;  // [stage]
-  std::vector<AdamShard> adam_;             // [stage]
-  // Ledger charges for the plain-vector state above.
-  obs::MemCharge master_charge_;
-  obs::MemCharge adam_charge_;
-
-  void recharge_ledger();
 };
 
 }  // namespace weipipe

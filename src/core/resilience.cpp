@@ -5,7 +5,6 @@
 
 #include "comm/fabric.hpp"
 #include "common/check.hpp"
-#include "core/checkpoint.hpp"
 #include "obs/blackbox.hpp"
 
 namespace weipipe {
@@ -20,7 +19,7 @@ RecoveryResult train_iteration_with_recovery(Trainer& trainer,
   }
   WEIPIPE_CHECK_MSG(options.max_attempts >= 1, "max_attempts must be >= 1");
   RecoveryResult out;
-  const TrainerState snapshot = trainer.export_state();
+  const ShardStore snapshot = trainer.state();
   for (int attempt = 1;; ++attempt) {
     try {
       out.result = trainer.train_iteration(data, iter_index);
@@ -35,7 +34,7 @@ RecoveryResult train_iteration_with_recovery(Trainer& trainer,
         throw;
       }
       fabric->recover();
-      trainer.import_state(snapshot);
+      trainer.load_state(snapshot);
       ++out.recoveries;
     }
   }

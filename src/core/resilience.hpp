@@ -4,7 +4,7 @@
 // fabric's reliability layer and never reach the trainer. Transient rank
 // stalls do: the stalled rank aborts the fabric and every rank's thread
 // unwinds with a comm::CommError. This runner turns that into a rollback:
-// snapshot the trainer's full state (core/checkpoint.hpp) before the
+// snapshot the trainer's full state (core/shard_store.hpp) before the
 // iteration, and on a communication fault repair the fabric
 // (Fabric::recover()), restore the snapshot, and re-run the iteration. The
 // re-run is bitwise-identical to an undisturbed run because the microbatch

@@ -13,25 +13,12 @@ namespace weipipe {
 SequentialTrainer::SequentialTrainer(const TrainConfig& cfg)
     : cfg_(cfg), model_(cfg.model) {
   cfg_.validate();
-  master_ = model_.init_block_params(cfg_.seed);
-  adam_.reserve(master_.size());
-  for (const auto& w : master_) {
-    adam_.emplace_back(static_cast<std::int64_t>(w.size()));
+  // One shard per block, all stepped by the single worker.
+  state_ = ShardStore(model_);
+  for (std::int64_t b = 0; b < model_.num_blocks(); ++b) {
+    const std::vector<std::int64_t> blocks = {b};
+    state_.add(0, blocks, model_.init_params(blocks, cfg_.seed));
   }
-  recharge_ledger();
-}
-
-void SequentialTrainer::recharge_ledger() {
-  std::int64_t weight_floats = 0;
-  for (const auto& w : master_) {
-    weight_floats += static_cast<std::int64_t>(w.size());
-  }
-  std::int64_t adam_floats = 0;
-  for (const AdamShard& shard : adam_) {
-    adam_floats += 2 * shard.size();  // first + second moment
-  }
-  master_charge_.set(obs::MemKind::kWeights, 4 * weight_floats);
-  adam_charge_.set(obs::MemKind::kOptimizer, 4 * adam_floats);
 }
 
 IterationResult SequentialTrainer::train_iteration(
@@ -51,7 +38,7 @@ IterationResult SequentialTrainer::train_iteration(
 
   // Compute copies: emulate the wire precision the distributed runs compute
   // with (weights quantized once before use; identity for fp32).
-  std::vector<std::vector<float>> compute = master_;
+  std::vector<std::vector<float>> compute = state_.block_params();
   if (cfg_.precision.weights != WirePrecision::Fp32) {
     for (auto& w : compute) {
       for (float& v : w) {
@@ -61,9 +48,9 @@ IterationResult SequentialTrainer::train_iteration(
   }
 
   std::vector<std::vector<float>> grads;
-  grads.reserve(master_.size());
+  grads.reserve(compute.size());
   std::int64_t grad_floats = 0;
-  for (const auto& w : master_) {
+  for (const auto& w : compute) {
     grads.emplace_back(w.size(), 0.0f);
     grad_floats += static_cast<std::int64_t>(w.size());
   }
@@ -126,10 +113,9 @@ IterationResult SequentialTrainer::train_iteration(
   }
   const AdamConfig adam_cfg = cfg_.adam_for_iteration(iter_index);
   obs::SpanScope opt_span(obs::SpanKind::kOptimizer);
-  for (std::size_t b = 0; b < master_.size(); ++b) {
-    adam_[b].step(std::span<float>(master_[b].data(), master_[b].size()),
-                  std::span<const float>(grads[b].data(), grads[b].size()),
-                  adam_cfg);
+  for (std::size_t b = 0; b < state_.size(); ++b) {
+    Shard& s = state_.shard(b);
+    s.adam.step(s.params, grads[b], adam_cfg);
   }
 
   IterationResult res;
@@ -139,57 +125,4 @@ IterationResult SequentialTrainer::train_iteration(
   return res;
 }
 
-std::vector<std::vector<float>> SequentialTrainer::gather_block_params()
-    const {
-  return master_;
-}
-
-TrainerState SequentialTrainer::export_state() const {
-  TrainerState state;
-  state.block_params = master_;
-  state.step_count = adam_.empty() ? 0 : adam_.front().step_count();
-  for (const AdamShard& shard : adam_) {
-    state.adam_m.emplace_back(shard.first_moment().begin(),
-                              shard.first_moment().end());
-    state.adam_v.emplace_back(shard.second_moment().begin(),
-                              shard.second_moment().end());
-  }
-  return state;
-}
-
-void SequentialTrainer::import_state(const TrainerState& state) {
-  WEIPIPE_CHECK_MSG(static_cast<std::int64_t>(state.block_params.size()) ==
-                        model_.num_blocks(),
-                    "state/model block count mismatch");
-  for (std::int64_t b = 0; b < model_.num_blocks(); ++b) {
-    WEIPIPE_CHECK_MSG(
-        static_cast<std::int64_t>(
-            state.block_params[static_cast<std::size_t>(b)].size()) ==
-            model_.block_param_count(b),
-        "state block " << b << " size mismatch");
-  }
-  master_ = state.block_params;
-  adam_.clear();
-  for (std::size_t b = 0; b < master_.size(); ++b) {
-    adam_.emplace_back(static_cast<std::int64_t>(master_[b].size()));
-    adam_.back().restore(state.adam_m[b], state.adam_v[b], state.step_count);
-  }
-  recharge_ledger();
-}
-
-
-std::vector<std::uint8_t> SequentialTrainer::export_rank_state(
-    int rank) const {
-  // No sharding: every "rank" (each forked process runs the full model
-  // independently) owns every block, so blobs are identical by construction.
-  (void)rank;
-  RankStateBlob blob;
-  blob.u64(static_cast<std::uint64_t>(master_.size()));
-  for (std::size_t b = 0; b < master_.size(); ++b) {
-    const AdamShard& a = adam_[b];
-    blob.record(b, a.step_count(), master_[b], a.first_moment(),
-                a.second_moment());
-  }
-  return blob.take();
-}
 }  // namespace weipipe

@@ -3,13 +3,8 @@
 // strategy must reproduce.
 #pragma once
 
-#include <memory>
-
-#include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
-#include "nn/adam.hpp"
 #include "nn/model.hpp"
-#include "obs/ledger.hpp"
 
 namespace weipipe {
 
@@ -20,21 +15,10 @@ class SequentialTrainer final : public Trainer {
   std::string name() const override { return "sequential"; }
   IterationResult train_iteration(const Dataset& data,
                                   std::int64_t iter_index) override;
-  std::vector<std::vector<float>> gather_block_params() const override;
-  TrainerState export_state() const override;
-  void import_state(const TrainerState& state) override;
-  std::vector<std::uint8_t> export_rank_state(int rank) const override;
 
  private:
   TrainConfig cfg_;
   Model model_;
-  std::vector<std::vector<float>> master_;  // fp32 masters per block
-  std::vector<AdamShard> adam_;             // one shard per block
-  // Ledger charges for the plain-vector state above (weights / optimizer).
-  obs::MemCharge master_charge_;
-  obs::MemCharge adam_charge_;
-
-  void recharge_ledger();
 };
 
 }  // namespace weipipe

@@ -7,11 +7,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/shard_store.hpp"
 #include "nn/config.hpp"
 #include "nn/microbatch.hpp"
 
@@ -89,69 +89,25 @@ class Trainer {
 
   // Full fp32 master weights, one flat vector per model block (embedding,
   // layers..., head) — the common currency of the equivalence tests.
-  virtual std::vector<std::vector<float>> gather_block_params() const = 0;
+  std::vector<std::vector<float>> gather_block_params() const {
+    return state_.block_params();
+  }
 
-  // Checkpointing: full state (weights + Adam moments + step counter) in the
-  // block-major TrainerState representation; see core/checkpoint.hpp.
-  // import_state throws weipipe::Error if the state does not fit the model.
-  virtual struct TrainerState export_state() const = 0;
-  virtual void import_state(const struct TrainerState& state) = 0;
+  // All state the optimizer owns (fp32 masters, Adam moments, step
+  // counters) as shards; checkpoints, recovery snapshots and the forked
+  // differ's per-rank blobs all derive from it (core/shard_store.hpp).
+  const ShardStore& state() const { return state_; }
+  // Restores from a store of any sharding of the same model. Throws
+  // weipipe::Error if the state does not fit the model.
+  void load_state(const ShardStore& src) { state_.assign(src); }
 
   // The communication fabric this trainer runs on; nullptr for strategies
   // with no wire (sequential). Lets harnesses install fault plans and read
   // stats without knowing the concrete trainer type.
   virtual comm::Fabric* fabric() { return nullptr; }
 
-  // Forked-rank differ support: the state `rank` owns and updates — its
-  // fp32 master shard(s), Adam moments, and step counter — as one stable
-  // little-endian byte blob (RankStateBlob framing below). The contract the
-  // multi-process chaos differ relies on: the blob for rank r is
-  // byte-identical whether the trainer hosted the full world in one process
-  // or just rank r in a forked child, so blobs memcmp across processes.
-  virtual std::vector<std::uint8_t> export_rank_state(int rank) const = 0;
-};
-
-// ---- export_rank_state serialization ----------------------------------------
-
-// Blob layout: [magic u64][record count u64] then per record
-// [shard index u64][element count u64][step count u64]
-// [params f32*n][adam_m f32*n][adam_v f32*n]. u64s little-endian, floats
-// raw host bytes (the differ never crosses machines, only processes).
-inline constexpr std::uint64_t kRankStateMagic = 0x3153525057ull;  // "WPRS1"
-
-class RankStateBlob {
- public:
-  RankStateBlob() { u64(kRankStateMagic); }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
-  void floats(std::span<const float> v) {
-    const std::size_t off = bytes_.size();
-    bytes_.resize(off + v.size() * sizeof(float));
-    if (!v.empty()) {
-      std::memcpy(bytes_.data() + off, v.data(), v.size() * sizeof(float));
-    }
-  }
-
-  void record(std::uint64_t index, std::int64_t step_count,
-              std::span<const float> params, std::span<const float> adam_m,
-              std::span<const float> adam_v) {
-    u64(index);
-    u64(static_cast<std::uint64_t>(params.size()));
-    u64(static_cast<std::uint64_t>(step_count));
-    floats(params);
-    floats(adam_m);
-    floats(adam_v);
-  }
-
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
+ protected:
+  ShardStore state_;
 };
 
 }  // namespace weipipe

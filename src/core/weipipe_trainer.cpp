@@ -51,51 +51,34 @@ WeiPipeTrainer::WeiPipeTrainer(const TrainConfig& cfg, std::int64_t num_workers,
                                   : model_.make_chunks(p_);
   fabric_ = std::make_unique<comm::Fabric>(static_cast<int>(p_ * dp_),
                                            opts_.link_model);
-  // Every replica starts from (and maintains) an identical shard set.
-  const auto init = model_.init_chunk_params(chunks_, cfg_.seed);
-  std::vector<float> vocab_init;
-  if (opts_.replicate_vocab) {
-    const auto blocks = model_.init_block_params(cfg_.seed);
-    vocab_init = blocks.front();
-    vocab_init.insert(vocab_init.end(), blocks.back().begin(),
-                      blocks.back().end());
-  }
+  // Every replica starts from (and maintains) an identical shard set:
+  // chunk c of replica d at index d * P + c, stepped by the worker the
+  // schedule makes its owner; with replicate_vocab, replica d's
+  // embedding||head shard follows all chunk shards, stepped by the
+  // replica's first worker.
+  state_ = ShardStore(model_);
   for (std::int64_t d = 0; d < dp_; ++d) {
-    for (const auto& chunk : init) {
-      master_.push_back(chunk);
-    }
-    for (const ChunkSpec& spec : chunks_) {
-      adam_.emplace_back(spec.param_count);
-    }
-    if (opts_.replicate_vocab) {
-      vocab_master_.push_back(vocab_init);
-      vocab_adam_.emplace_back(static_cast<std::int64_t>(vocab_init.size()));
+    for (std::int64_t c = 0; c < p_; ++c) {
+      const auto blocks = chunks_[static_cast<std::size_t>(c)].blocks();
+      state_.add(static_cast<int>(d * p_ + sched_.owner(c)), blocks,
+                 model_.init_params(blocks, cfg_.seed));
     }
   }
-  recharge_ledger();
+  if (opts_.replicate_vocab) {
+    const std::vector<std::int64_t> vocab = {0, model_.num_blocks() - 1};
+    for (std::int64_t d = 0; d < dp_; ++d) {
+      state_.add(static_cast<int>(d * p_), vocab,
+                 model_.init_params(vocab, cfg_.seed));
+    }
+  }
 }
 
-void WeiPipeTrainer::recharge_ledger() {
-  std::int64_t weight_floats = 0;
-  for (const auto& m : master_) {
-    weight_floats += static_cast<std::int64_t>(m.size());
-  }
-  std::int64_t adam_floats = 0;
-  for (const AdamShard& shard : adam_) {
-    adam_floats += 2 * shard.size();
-  }
-  master_charge_.set(obs::MemKind::kWeights, 4 * weight_floats);
-  adam_charge_.set(obs::MemKind::kOptimizer, 4 * adam_floats);
-  std::int64_t vocab_floats = 0;
-  for (const auto& vm : vocab_master_) {
-    vocab_floats += static_cast<std::int64_t>(vm.size());
-  }
-  std::int64_t vocab_adam_floats = 0;
-  for (const AdamShard& shard : vocab_adam_) {
-    vocab_adam_floats += 2 * shard.size();
-  }
-  vocab_master_charge_.set(obs::MemKind::kWeights, 4 * vocab_floats);
-  vocab_adam_charge_.set(obs::MemKind::kOptimizer, 4 * vocab_adam_floats);
+Shard& WeiPipeTrainer::chunk_shard(std::int64_t replica, std::int64_t c) {
+  return state_.shard(static_cast<std::size_t>(replica * p_ + c));
+}
+
+Shard& WeiPipeTrainer::vocab_shard(std::int64_t replica) {
+  return state_.shard(static_cast<std::size_t>(dp_ * p_ + replica));
 }
 
 std::string WeiPipeTrainer::name() const {
@@ -171,7 +154,7 @@ void WeiPipeTrainer::worker_body(int rank, comm::Endpoint& ep,
   obs::MemCharge vocab_w_charge;
   obs::MemCharge vocab_g_charge;
   if (opts_.replicate_vocab) {
-    const std::vector<float>& vm = vocab_master_[static_cast<std::size_t>(d)];
+    const std::vector<float>& vm = vocab_shard(d).params;
     vocab_w.resize(vm.size());
     for (std::size_t i = 0; i < vm.size(); ++i) {
       vocab_w[i] = quantize(vm[i], wp);
@@ -189,8 +172,7 @@ void WeiPipeTrainer::worker_body(int rank, comm::Endpoint& ep,
     if (sched_.owner(c) != p) {
       continue;
     }
-    const std::vector<float>& m =
-        master_[static_cast<std::size_t>(base + c)];
+    const std::vector<float>& m = chunk_shard(d, c).params;
     const auto targets_and_tags = {
         std::pair<std::int64_t, std::int64_t>{sched_.f_start_holder(c),
                                               kTagRedistF},
@@ -224,8 +206,7 @@ void WeiPipeTrainer::worker_body(int rank, comm::Endpoint& ep,
 
   auto fill_from_master_quantized = [&](std::vector<float>& dst,
                                         std::int64_t c) {
-    const std::vector<float>& m =
-        master_[static_cast<std::size_t>(base + c)];
+    const std::vector<float>& m = chunk_shard(d, c).params;
     dst.resize(m.size());
     for (std::size_t i = 0; i < m.size(); ++i) {
       dst[i] = quantize(m[i], wp);
@@ -550,139 +531,15 @@ void WeiPipeTrainer::worker_body(int rank, comm::Endpoint& ep,
     }
   }
   obs::SpanScope opt_span(obs::SpanKind::kOptimizer, -1, c_own);
-  std::vector<float>& m = master_[static_cast<std::size_t>(base + c_own)];
-  WEIPIPE_CHECK(m.size() == bd.size());
-  adam_[static_cast<std::size_t>(base + c_own)].step(
-      std::span<float>(m.data(), m.size()),
-      std::span<const float>(bd.data(), bd.size()),
-      cfg_.adam_for_iteration(iter_index));
+  Shard& own = chunk_shard(d, c_own);
+  WEIPIPE_CHECK(own.params.size() == bd.size());
+  own.adam.step(own.params, bd, cfg_.adam_for_iteration(iter_index));
   if (opts_.replicate_vocab && p == 0) {
     // The replica's first worker applies the (identical) vocab update.
-    std::vector<float>& vm = vocab_master_[static_cast<std::size_t>(d)];
-    vocab_adam_[static_cast<std::size_t>(d)].step(
-        std::span<float>(vm.data(), vm.size()),
-        std::span<const float>(vocab_g.data(), vocab_g.size()),
-        cfg_.adam_for_iteration(iter_index));
+    Shard& vocab = vocab_shard(d);
+    vocab.adam.step(vocab.params, vocab_g,
+                    cfg_.adam_for_iteration(iter_index));
   }
 }
 
-std::vector<std::vector<float>> WeiPipeTrainer::gather_block_params() const {
-  std::vector<std::vector<float>> out(
-      static_cast<std::size_t>(model_.num_blocks()));
-  if (opts_.replicate_vocab) {
-    const std::vector<float>& vm = vocab_master_.front();
-    const std::int64_t emb_n = model_.block_param_count(0);
-    out.front().assign(vm.begin(), vm.begin() + emb_n);
-    out.back().assign(vm.begin() + emb_n, vm.end());
-  }
-  for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    const ChunkSpec& spec = chunks_[c];
-    for (std::int64_t b = spec.begin; b < spec.end; ++b) {
-      const std::int64_t off = model_.block_offset_in_chunk(spec, b);
-      const std::int64_t n = model_.block_param_count(b);
-      const std::vector<float>& m = master_[c];
-      out[static_cast<std::size_t>(b)] = std::vector<float>(
-          m.begin() + off, m.begin() + off + n);
-    }
-  }
-  return out;
-}
-
-TrainerState WeiPipeTrainer::export_state() const {
-  // Replicas are identical by construction; export replica 0's shards.
-  const std::vector<std::vector<float>> replica0_master(
-      master_.begin(), master_.begin() + static_cast<std::ptrdiff_t>(p_));
-  const std::vector<AdamShard> replica0_adam(
-      adam_.begin(), adam_.begin() + static_cast<std::ptrdiff_t>(p_));
-  TrainerState state =
-      export_sharded_state(model_, chunks_, replica0_master, replica0_adam);
-  if (opts_.replicate_vocab) {
-    // The sharded export skipped blocks 0 and L+1; fill them from the
-    // replicated vocab state.
-    const std::vector<float>& vm = vocab_master_.front();
-    const AdamShard& va = vocab_adam_.front();
-    const std::int64_t emb_n = model_.block_param_count(0);
-    state.step_count = va.step_count();
-    state.block_params.front().assign(vm.begin(), vm.begin() + emb_n);
-    state.block_params.back().assign(vm.begin() + emb_n, vm.end());
-    state.adam_m.front().assign(va.first_moment().begin(),
-                                va.first_moment().begin() + emb_n);
-    state.adam_m.back().assign(va.first_moment().begin() + emb_n,
-                               va.first_moment().end());
-    state.adam_v.front().assign(va.second_moment().begin(),
-                                va.second_moment().begin() + emb_n);
-    state.adam_v.back().assign(va.second_moment().begin() + emb_n,
-                               va.second_moment().end());
-  }
-  return state;
-}
-
-void WeiPipeTrainer::import_state(const TrainerState& state) {
-  std::vector<std::vector<float>> replica_master;
-  std::vector<AdamShard> replica_adam;
-  import_sharded_state(model_, chunks_, state, replica_master, replica_adam);
-  master_.clear();
-  adam_.clear();
-  vocab_master_.clear();
-  vocab_adam_.clear();
-  for (std::int64_t e = 0; e < dp_; ++e) {
-    for (const auto& mch : replica_master) {
-      master_.push_back(mch);
-    }
-    for (const AdamShard& shard : replica_adam) {
-      adam_.push_back(shard);
-    }
-    if (opts_.replicate_vocab) {
-      std::vector<float> vm = state.block_params.front();
-      vm.insert(vm.end(), state.block_params.back().begin(),
-                state.block_params.back().end());
-      std::vector<float> m = state.adam_m.front();
-      m.insert(m.end(), state.adam_m.back().begin(),
-               state.adam_m.back().end());
-      std::vector<float> v = state.adam_v.front();
-      v.insert(v.end(), state.adam_v.back().begin(),
-               state.adam_v.back().end());
-      vocab_master_.push_back(std::move(vm));
-      vocab_adam_.emplace_back(
-          static_cast<std::int64_t>(vocab_master_.back().size()));
-      vocab_adam_.back().restore(std::move(m), std::move(v),
-                                 state.step_count);
-    }
-  }
-  recharge_ledger();
-}
-
-
-std::vector<std::uint8_t> WeiPipeTrainer::export_rank_state(int rank) const {
-  WEIPIPE_CHECK_MSG(rank >= 0 && rank < p_ * dp_,
-                    "export_rank_state: rank " << rank << " of " << p_ * dp_);
-  const std::int64_t d = rank / p_;  // replica
-  const std::int64_t p = rank % p_;  // worker within the ring
-  // Worker p owns the chunk(s) the schedule assigns it; its shard lives at
-  // replica-major index d * p_ + c.
-  std::vector<std::int64_t> owned;
-  for (std::int64_t c = 0; c < p_; ++c) {
-    if (sched_.owner(c) == p) {
-      owned.push_back(c);
-    }
-  }
-  const bool vocab = opts_.replicate_vocab && p == 0;
-  RankStateBlob blob;
-  blob.u64(owned.size() + (vocab ? 1 : 0));
-  for (const std::int64_t c : owned) {
-    const std::size_t idx = static_cast<std::size_t>(d * p_ + c);
-    blob.record(static_cast<std::uint64_t>(c), adam_[idx].step_count(),
-                master_[idx], adam_[idx].first_moment(),
-                adam_[idx].second_moment());
-  }
-  if (vocab) {
-    // Replica d's first worker applies the replicated vocab update; record
-    // it under the one-past-the-chunks sentinel index.
-    const std::size_t vd = static_cast<std::size_t>(d);
-    blob.record(static_cast<std::uint64_t>(p_), vocab_adam_[vd].step_count(),
-                vocab_master_[vd], vocab_adam_[vd].first_moment(),
-                vocab_adam_[vd].second_moment());
-  }
-  return blob.take();
-}
 }  // namespace weipipe

@@ -14,15 +14,11 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "comm/fabric.hpp"
-#include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
 #include "sched/weipipe_schedule.hpp"
-#include "nn/adam.hpp"
 #include "nn/model.hpp"
-#include "obs/ledger.hpp"
 
 namespace weipipe {
 
@@ -54,10 +50,6 @@ class WeiPipeTrainer final : public Trainer {
   std::string name() const override;
   IterationResult train_iteration(const Dataset& data,
                                   std::int64_t iter_index) override;
-  std::vector<std::vector<float>> gather_block_params() const override;
-  TrainerState export_state() const override;
-  void import_state(const TrainerState& state) override;
-  std::vector<std::uint8_t> export_rank_state(int rank) const override;
 
   const WeiPipeSchedule& schedule() const { return sched_; }
   comm::Fabric* fabric() override { return fabric_.get(); }
@@ -65,6 +57,11 @@ class WeiPipeTrainer final : public Trainer {
  private:
   void worker_body(int rank, comm::Endpoint& ep, const Dataset& data,
                    std::int64_t iter_index, std::vector<double>& losses);
+  // Replica `replica`'s shard of chunk c / of embedding||head. Only the
+  // owning worker thread touches a shard during an iteration (asserted by
+  // the schedule algebra).
+  Shard& chunk_shard(std::int64_t replica, std::int64_t c);
+  Shard& vocab_shard(std::int64_t replica);
 
   TrainConfig cfg_;
   std::int64_t p_;   // ring size (pipeline chunks)
@@ -74,23 +71,6 @@ class WeiPipeTrainer final : public Trainer {
   WeiPipeSchedule sched_;
   std::vector<ChunkSpec> chunks_;
   std::unique_ptr<comm::Fabric> fabric_;
-
-  // Owner-side state, indexed by replica * ring_size + chunk; only the
-  // owning worker thread touches its entry during an iteration (asserted by
-  // the schedule algebra). Replicas hold identical copies by construction.
-  std::vector<std::vector<float>> master_;
-  std::vector<AdamShard> adam_;
-  // replicate_vocab mode: embedding||head parameters and their optimizer
-  // state, one copy per replica (updated by the replica's first worker).
-  std::vector<std::vector<float>> vocab_master_;
-  std::vector<AdamShard> vocab_adam_;
-  // Ledger charges for the plain-vector owner state above.
-  obs::MemCharge master_charge_;
-  obs::MemCharge adam_charge_;
-  obs::MemCharge vocab_master_charge_;
-  obs::MemCharge vocab_adam_charge_;
-
-  void recharge_ledger();
 };
 
 }  // namespace weipipe

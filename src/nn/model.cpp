@@ -72,38 +72,31 @@ std::vector<ChunkSpec> Model::make_layer_chunks(
 
 std::vector<std::vector<float>> Model::init_block_params(
     std::uint64_t seed) const {
-  Rng root(seed);
   std::vector<std::vector<float>> params;
   params.reserve(blocks_.size());
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    std::vector<float> w(
-        static_cast<std::size_t>(blocks_[i]->param_count()));
-    Rng rng = root.fork(static_cast<std::uint64_t>(i));
-    blocks_[i]->init_params(w, rng);
-    params.push_back(std::move(w));
+  for (std::int64_t b = 0; b < num_blocks(); ++b) {
+    params.push_back(init_params(std::span<const std::int64_t>(&b, 1), seed));
   }
   return params;
 }
 
-std::vector<std::vector<float>> Model::init_chunk_params(
-    const std::vector<ChunkSpec>& chunks, std::uint64_t seed) const {
-  Rng root(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(chunks.size());
-  for (const ChunkSpec& spec : chunks) {
-    std::vector<float> buf(static_cast<std::size_t>(spec.param_count));
-    std::int64_t off = 0;
-    for (std::int64_t b = spec.begin; b < spec.end; ++b) {
-      const std::int64_t n = block_param_count(b);
-      Rng rng = root.fork(static_cast<std::uint64_t>(b));
-      blocks_[static_cast<std::size_t>(b)]->init_params(
-          std::span<float>(buf.data() + off, static_cast<std::size_t>(n)),
-          rng);
-      off += n;
-    }
-    out.push_back(std::move(buf));
+std::vector<float> Model::init_params(std::span<const std::int64_t> blocks,
+                                      std::uint64_t seed) const {
+  std::int64_t total = 0;
+  for (const std::int64_t b : blocks) {
+    total += block_param_count(b);
   }
-  return out;
+  const Rng root(seed);
+  std::vector<float> buf(static_cast<std::size_t>(total));
+  std::int64_t off = 0;
+  for (const std::int64_t b : blocks) {
+    const std::int64_t n = block_param_count(b);
+    Rng rng = root.fork(static_cast<std::uint64_t>(b));
+    blocks_[static_cast<std::size_t>(b)]->init_params(
+        std::span<float>(buf.data() + off, static_cast<std::size_t>(n)), rng);
+    off += n;
+  }
+  return buf;
 }
 
 std::int64_t Model::block_offset_in_chunk(const ChunkSpec& chunk,

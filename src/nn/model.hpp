@@ -24,6 +24,15 @@ struct ChunkSpec {
   std::int64_t begin = 0;
   std::int64_t end = 0;
   std::int64_t param_count = 0;
+
+  // The block ids begin..end-1, in buffer order.
+  std::vector<std::int64_t> blocks() const {
+    std::vector<std::int64_t> out;
+    for (std::int64_t b = begin; b < end; ++b) {
+      out.push_back(b);
+    }
+    return out;
+  }
 };
 
 class Model {
@@ -49,13 +58,13 @@ class Model {
   // circulated (production WeiPipe; see WeiPipeOptions::replicate_vocab).
   std::vector<ChunkSpec> make_layer_chunks(std::int64_t num_chunks) const;
 
-  // Deterministic initialization: block i draws from rng.fork(i), so chunk
-  // buffers can be initialized independently (and identically) on any rank.
+  // Deterministic initialization: block i draws from rng.fork(i), so any
+  // sharding of the blocks starts from identical weights.
   std::vector<std::vector<float>> init_block_params(std::uint64_t seed) const;
 
-  // Flat per-chunk weight buffers for a given chunking.
-  std::vector<std::vector<float>> init_chunk_params(
-      const std::vector<ChunkSpec>& chunks, std::uint64_t seed) const;
+  // The initial weights of `blocks`, concatenated in order into one buffer.
+  std::vector<float> init_params(std::span<const std::int64_t> blocks,
+                                 std::uint64_t seed) const;
 
   // Offset of block `b` inside its chunk's flat buffer.
   std::int64_t block_offset_in_chunk(const ChunkSpec& chunk,

@@ -43,7 +43,7 @@
 #include "baselines/fsdp_trainer.hpp"
 #include "baselines/pipeline_trainer.hpp"
 #include "core/accounting.hpp"
-#include "core/checkpoint.hpp"
+#include "core/shard_store.hpp"
 #include "core/resilience.hpp"
 #include "core/sequential_trainer.hpp"
 #include "core/trainer.hpp"

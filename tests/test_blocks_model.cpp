@@ -260,13 +260,16 @@ TEST(Model, ChunkInitMatchesBlockInit) {
   Model model(cfg);
   const auto block_params = model.init_block_params(123);
   const auto chunks = model.make_chunks(2);
-  const auto chunk_params = model.init_chunk_params(chunks, 123);
   for (std::size_t c = 0; c < chunks.size(); ++c) {
+    const std::vector<float> chunk_params =
+        model.init_params(chunks[c].blocks(), 123);
+    ASSERT_EQ(static_cast<std::int64_t>(chunk_params.size()),
+              chunks[c].param_count);
     for (std::int64_t b = chunks[c].begin; b < chunks[c].end; ++b) {
       const std::int64_t off = model.block_offset_in_chunk(chunks[c], b);
       const auto& expected = block_params[static_cast<std::size_t>(b)];
       for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(chunk_params[c][static_cast<std::size_t>(off) + i],
+        ASSERT_EQ(chunk_params[static_cast<std::size_t>(off) + i],
                   expected[i])
             << "block " << b << " elem " << i;
       }

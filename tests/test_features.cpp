@@ -7,7 +7,6 @@
 
 #include "baselines/fsdp_trainer.hpp"
 #include "baselines/pipeline_trainer.hpp"
-#include "core/checkpoint.hpp"
 #include "core/sequential_trainer.hpp"
 #include "core/weipipe_trainer.hpp"
 #include "nn/decode.hpp"
@@ -201,19 +200,13 @@ TEST(Checkpoint, FileRoundTripIsExact) {
   SequentialTrainer t(cfg);
   SyntheticDataset data(cfg.model.vocab_size, cfg.seed);
   (void)t.train_iteration(data, 0);
-  const TrainerState state = t.export_state();
 
   TempCheckpoint ckpt;
-  save_checkpoint(ckpt.path(), state);
-  const TrainerState loaded = load_checkpoint(ckpt.path());
+  save_checkpoint(ckpt.path(), t.state());
+  const ShardStore loaded = load_checkpoint(ckpt.path());
 
-  EXPECT_EQ(loaded.step_count, state.step_count);
-  ASSERT_EQ(loaded.block_params.size(), state.block_params.size());
-  for (std::size_t b = 0; b < state.block_params.size(); ++b) {
-    EXPECT_EQ(loaded.block_params[b], state.block_params[b]);
-    EXPECT_EQ(loaded.adam_m[b], state.adam_m[b]);
-    EXPECT_EQ(loaded.adam_v[b], state.adam_v[b]);
-  }
+  EXPECT_TRUE(loaded.serialize() == t.state().serialize());
+  EXPECT_EQ(loaded.shard(0).adam.step_count(), 1);
 }
 
 TEST(Checkpoint, RejectsGarbageFiles) {
@@ -242,10 +235,10 @@ TEST(Checkpoint, ResumeMatchesUninterruptedRun) {
     SequentialTrainer first_half(cfg);
     (void)first_half.train_iteration(data, 0);
     (void)first_half.train_iteration(data, 1);
-    save_checkpoint(ckpt.path(), first_half.export_state());
+    save_checkpoint(ckpt.path(), first_half.state());
   }
   SequentialTrainer second_half(cfg);
-  second_half.import_state(load_checkpoint(ckpt.path()));
+  second_half.load_state(load_checkpoint(ckpt.path()));
   (void)second_half.train_iteration(data, 2);
   (void)second_half.train_iteration(data, 3);
 
@@ -263,12 +256,12 @@ TEST(Checkpoint, CrossShardingRestore) {
   WeiPipeTrainer origin(cfg, 4);
   (void)origin.train_iteration(data, 0);
   (void)origin.train_iteration(data, 1);
-  const TrainerState state = origin.export_state();
+  const ShardStore& state = origin.state();
 
   SequentialTrainer seq(cfg);
-  seq.import_state(state);
+  seq.load_state(state);
   WeiPipeTrainer ring2(cfg, 2);
-  ring2.import_state(state);
+  ring2.load_state(state);
 
   (void)origin.train_iteration(data, 2);
   (void)seq.train_iteration(data, 2);
@@ -289,12 +282,12 @@ TEST(Checkpoint, ReplicatedVocabRoundTrip) {
   SyntheticDataset data(cfg.model.vocab_size, cfg.seed);
   WeiPipeTrainer origin(cfg, 4, {.replicate_vocab = true});
   (void)origin.train_iteration(data, 0);
-  const TrainerState state = origin.export_state();
+  const ShardStore state = origin.state();
 
   SequentialTrainer seq(cfg);
-  seq.import_state(state);
+  seq.load_state(state);
   WeiPipeTrainer clone(cfg, 4, {.replicate_vocab = true});
-  clone.import_state(state);
+  clone.load_state(state);
 
   (void)origin.train_iteration(data, 1);
   (void)seq.train_iteration(data, 1);
@@ -309,13 +302,14 @@ TEST(Checkpoint, ReplicatedVocabRoundTrip) {
 
 TEST(Checkpoint, ImportRejectsWrongModel) {
   const TrainConfig cfg = tiny_config();
-  SequentialTrainer t(cfg);
-  TrainerState state = t.export_state();
-  state.block_params.pop_back();
-  state.adam_m.pop_back();
-  state.adam_v.pop_back();
+  TrainConfig deeper = cfg;
+  deeper.model.n_layers += 2;
+  SequentialTrainer t(deeper);
   SequentialTrainer other(cfg);
-  EXPECT_THROW(other.import_state(state), Error);
+  EXPECT_THROW(other.load_state(t.state()), Error);
+  TrainConfig wider = cfg;
+  wider.model.dim *= 2;
+  EXPECT_THROW(other.load_state(SequentialTrainer(wider).state()), Error);
 }
 
 // ---- Generation --------------------------------------------------------------------------

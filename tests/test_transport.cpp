@@ -26,7 +26,7 @@
 #include "comm/fabric.hpp"
 #include "comm/transport.hpp"
 #include "core/accounting.hpp"
-#include "core/checkpoint.hpp"
+#include "core/shard_store.hpp"
 
 namespace weipipe {
 namespace {
@@ -233,12 +233,16 @@ TEST_P(TransportSuite, CollectivesAgreeAtEveryWorldSize) {
 TEST_P(TransportSuite, ZeroCopyPointerIdentityWhereSupported) {
   Fabric fabric(2, nullptr, spec());
   std::atomic<const std::uint8_t*> sent_ptr{nullptr};
+  // Rank 0 holds the sent storage until the test ends, so the receiver's
+  // own allocation can never land on its (otherwise freed) address.
+  comm::Buffer sent_keepalive;
   const std::vector<std::uint8_t> expect = pattern_payload(64, 9);
   run_workers(fabric, [&](int rank, Endpoint& ep) {
     if (rank == 0) {
       comm::Buffer buf = comm::Buffer::allocate(expect.size());
       std::memcpy(buf.mutable_data(), expect.data(), expect.size());
       sent_ptr.store(buf.data(), std::memory_order_release);
+      sent_keepalive = buf;
       ep.send(1, 3, std::move(buf));
     } else {
       const comm::Buffer got = ep.recv_buffer(0, 3);
@@ -334,7 +338,7 @@ TEST_P(TransportSuite, ReliabilityHoldsUnderDupDropReorder) {
 // ---- the cross-backend differ ------------------------------------------------
 
 struct BackendRun {
-  TrainerState state;
+  std::vector<std::uint8_t> state;  // ShardStore::serialize() of all shards
   acct::KindVolumes volumes;  // final iteration (trainers reset per iter)
   std::uint64_t wire_bytes = 0;
 };
@@ -349,27 +353,8 @@ BackendRun run_weipipe_on(const std::string& spec_text, const TrainConfig& cfg,
     run.wire_bytes = trainer->train_iteration(data, it).wire_bytes;
   }
   run.volumes = acct::measured_kind_volumes(*trainer->fabric());
-  run.state = trainer->export_state();
+  run.state = trainer->state().serialize();
   return run;
-}
-
-void expect_bitwise_equal(const TrainerState& a, const TrainerState& b,
-                          const std::string& label) {
-  ASSERT_EQ(a.step_count, b.step_count) << label;
-  ASSERT_EQ(a.block_params.size(), b.block_params.size()) << label;
-  const auto blocks_equal = [&](const std::vector<std::vector<float>>& x,
-                                const std::vector<std::vector<float>>& y,
-                                const char* what) {
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      ASSERT_EQ(x[i].size(), y[i].size()) << label << " " << what << " " << i;
-      EXPECT_EQ(0, std::memcmp(x[i].data(), y[i].data(),
-                               x[i].size() * sizeof(float)))
-          << label << ": " << what << " block " << i << " diverged";
-    }
-  };
-  blocks_equal(a.block_params, b.block_params, "params");
-  blocks_equal(a.adam_m, b.adam_m, "adam_m");
-  blocks_equal(a.adam_v, b.adam_v, "adam_v");
 }
 
 TEST(TransportCrossBackend, WeiPipeBitwiseIdenticalAndVolumesMatch) {
@@ -390,8 +375,9 @@ TEST(TransportCrossBackend, WeiPipeBitwiseIdenticalAndVolumesMatch) {
   const BackendRun shm = run_weipipe_on("shm", cfg, world, iterations);
   const BackendRun tcp = run_weipipe_on("tcp", cfg, world, iterations);
 
-  expect_bitwise_equal(inproc.state, shm.state, "shm vs inproc");
-  expect_bitwise_equal(inproc.state, tcp.state, "tcp vs inproc");
+  // Weights, Adam moments and step counters, byte for byte.
+  EXPECT_TRUE(inproc.state == shm.state) << "shm vs inproc state diverged";
+  EXPECT_TRUE(inproc.state == tcp.state) << "tcp vs inproc state diverged";
 
   // Wire accounting is sender-side per logical message: byte counts must
   // agree exactly across backends...

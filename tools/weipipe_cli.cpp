@@ -267,7 +267,7 @@ int cmd_train(const Flags& flags) {
     trainer = make_trainer(strategy, cfg, workers);
   }
   if (flags.flag("resume")) {
-    trainer->import_state(load_checkpoint(flags.str("resume", "")));
+    trainer->load_state(load_checkpoint(flags.str("resume", "")));
     std::printf("resumed from %s\n", flags.str("resume", "").c_str());
   }
   const auto data = dataset_from_flags(flags, cfg);
@@ -302,7 +302,7 @@ int cmd_train(const Flags& flags) {
               tokens, total_seconds, tokens / total_seconds,
               static_cast<double>(total_bytes) / 1e6);
   if (flags.flag("checkpoint")) {
-    save_checkpoint(flags.str("checkpoint", ""), trainer->export_state());
+    save_checkpoint(flags.str("checkpoint", ""), trainer->state());
     std::printf("checkpoint written to %s\n",
                 flags.str("checkpoint", "").c_str());
   }
@@ -315,8 +315,8 @@ int cmd_generate(const Flags& flags) {
                     "generate requires --checkpoint (and matching model "
                     "flags)");
   Model model(cfg.model);
-  SequentialTrainer holder(cfg);  // convenient state container
-  holder.import_state(load_checkpoint(flags.str("checkpoint", "")));
+  SequentialTrainer holder(cfg);  // checks the checkpoint fits the model
+  holder.load_state(load_checkpoint(flags.str("checkpoint", "")));
   const auto params = holder.gather_block_params();
 
   std::vector<std::int32_t> prompt;
@@ -746,7 +746,7 @@ int cmd_bench(const Flags& flags) {
 //
 // `chaos --transport shm|tcp` runs the differ as a real distributed system.
 // Per strategy: the parent first computes the clean full-world reference in
-// process (inproc transport) and keeps export_rank_state(r) for every rank;
+// process (inproc transport) and keeps state().serialize(r) for every rank;
 // it then forks `workers` rank processes, each hosting exactly one rank of
 // the same chaos run over the real wire (rendezvous by shm segment name or
 // host:port, consistent across children because they fork from identical
