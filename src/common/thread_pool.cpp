@@ -47,9 +47,11 @@ void set_kernel_observer(KernelObserver observer) {
 // One per parallel_for_range call, on the dispatching thread's stack. The
 // arena slot holds a pointer to it for the duration of the dispatch; workers
 // may only dereference that pointer under the pool mutex (scan + join) or
-// after registering themselves in `joined` (execution), and the caller does
-// not return until `joined` drops back to zero — so the frame outlives every
-// access.
+// after registering themselves in `joined` (execution). A worker registers
+// before it releases the pool mutex, so once the caller has cleared the slot
+// under that mutex no new worker can join; the caller then waits for
+// `joined` to drop back to zero before returning — so the frame outlives
+// every access.
 struct ThreadPool::Dispatch {
   RangeFn fn;
   void* ctx;
@@ -204,19 +206,19 @@ void ThreadPool::parallel_for_range(std::size_t begin, std::size_t end,
 
   run_dispatch(d, /*is_worker=*/false);  // the caller participates
 
+  {
+    // Unpublish first: a worker that found the slot registered in `joined`
+    // before releasing the pool mutex, so after this no worker can join.
+    std::lock_guard<std::mutex> lk(mu_);
+    slots_[slot] = nullptr;
+  }
   std::exception_ptr error;
   {
-    // Workers register in `joined` before their first claim while the pool
-    // mutex pins the slot, and no claim can succeed once next >= end — so
-    // when joined reaches 0 here, no worker will touch `d` again outside the
-    // pool mutex.
+    // Every registered worker is counted; when joined reaches 0 none of
+    // them will touch `d` again.
     std::unique_lock<std::mutex> dlk(d.mu);
     d.cv.wait(dlk, [&] { return d.joined == 0; });
     error = d.error;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    slots_[slot] = nullptr;
   }
   if (error) {
     std::rethrow_exception(error);

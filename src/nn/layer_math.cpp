@@ -218,6 +218,42 @@ void attention_backward_naive(const float* q, const float* k, const float* v,
   });
 }
 
+namespace {
+
+// FlashAttention-style blocking shared by the streaming forward and
+// backward: kBq query rows against kBk key columns at a time. With equal
+// block sizes every query block's last key block is its diagonal block, so
+// every row of a visited block sees at least one key.
+constexpr std::int64_t kBq = 64;
+constexpr std::int64_t kBk = 64;
+static_assert(kBq == kBk, "the causal loops assume square blocks");
+
+// One causal probability block: s[mq, nk] (row stride kBk) first gets the
+// raw scores Q_blk K_blkᵀ for query rows i0..i0+mq-1 against key rows
+// j0..j0+nk-1 (the transpose is a stride swap on the strided K layout,
+// never a copy). Row i may attend to its first `visible` keys only:
+// to_probs(i, s_i, visible) scales those scores and turns them into
+// probabilities in place (scaling there lets it share the caller's own pass
+// over the row), and the masked tail is zeroed (P = 0) without
+// exponentiating it.
+template <typename RowFn>
+void causal_prob_block(const float* qblk, std::int64_t q_rs, const float* kblk,
+                       std::int64_t k_rs, float* s, std::int64_t i0,
+                       std::int64_t mq, std::int64_t j0, std::int64_t nk,
+                       std::int64_t dh, RowFn&& to_probs) {
+  kernels::gemm(qblk, q_rs, 1, kblk, 1, k_rs, s, kBk, mq, dh, nk,
+                /*accumulate=*/false);
+  for (std::int64_t i = 0; i < mq; ++i) {
+    float* si = s + i * kBk;
+    const std::int64_t visible =
+        std::clamp<std::int64_t>(i0 + i - j0 + 1, 0, nk);
+    to_probs(i, si, visible);
+    std::fill(si + visible, si + nk, 0.0f);
+  }
+}
+
+}  // namespace
+
 void attention_forward_stream(const float* q, const float* k, const float* v,
                               float* out, float* lse, std::int64_t G,
                               std::int64_t S, std::int64_t nh,
@@ -226,13 +262,9 @@ void attention_forward_stream(const float* q, const float* k, const float* v,
   const std::int64_t H = nh * dh;
   const std::int64_t Hkv = nkv * dh;
   const std::int64_t group = nh / nkv;
-  // FlashAttention-style blocking: Bq query rows against Bk key columns at a
-  // time. The score block and the P*V update are GEMMs against the strided
-  // Q/K/V layouts (a transpose is a stride swap); only the online-softmax
-  // rescale between them is elementwise. O(S) working set per task instead
-  // of O(S^2) scores.
-  constexpr std::int64_t kBq = 64;
-  constexpr std::int64_t kBk = 64;
+  // The score block and the P*V update are GEMMs against the strided Q/K/V
+  // layouts; only the online-softmax rescale between them is elementwise.
+  // O(S) working set per task instead of O(S^2) scores.
   parallel_for(0, static_cast<std::size_t>(G * nh), [&](std::size_t gh) {
     const std::int64_t g = static_cast<std::int64_t>(gh) / nh;
     const std::int64_t h = static_cast<std::int64_t>(gh) % nh;
@@ -249,43 +281,32 @@ void attention_forward_stream(const float* q, const float* k, const float* v,
       const float* qblk = q + (g * S + i0) * H + h * dh;
       // Causal: the highest query row in this block sees keys 0..i0+mq-1.
       for (std::int64_t j0 = 0; j0 < i0 + mq; j0 += kBk) {
-        const std::int64_t nk = std::min(kBk, std::min(S, i0 + mq) - j0);
-        // S_blk[mq, nk] = Q_blk * K_blk^T  (K^T: column j is key row j0+j).
-        kernels::gemm(qblk, H, 1, k + (g * S + j0) * Hkv + kvh * dh, 1, Hkv,
-                      sblk.data(), kBk, mq, dh, nk, /*accumulate=*/false);
-        // Online-softmax update per row; masked entries become P = 0.
-        for (std::int64_t i = 0; i < mq; ++i) {
-          float* si = sblk.data() + i * kBk;
-          const std::int64_t qi = i0 + i;
-          const std::int64_t valid = std::min(nk, qi - j0 + 1);
-          if (valid <= 0) {
-            std::fill(si, si + nk, 0.0f);
-            continue;
-          }
-          float bmax = -std::numeric_limits<float>::infinity();
-          for (std::int64_t j = 0; j < valid; ++j) {
-            si[j] *= scl;
-            bmax = std::max(bmax, si[j]);
-          }
-          const float m_new = std::max(m[static_cast<std::size_t>(i)], bmax);
-          const float corr =
-              (l[static_cast<std::size_t>(i)] == 0.0f)
-                  ? 0.0f
-                  : std::exp(m[static_cast<std::size_t>(i)] - m_new);
-          float psum = 0.0f;
-          for (std::int64_t j = 0; j < valid; ++j) {
-            si[j] = std::exp(si[j] - m_new);
-            psum += si[j];
-          }
-          std::fill(si + valid, si + nk, 0.0f);
-          l[static_cast<std::size_t>(i)] =
-              l[static_cast<std::size_t>(i)] * corr + psum;
-          m[static_cast<std::size_t>(i)] = m_new;
-          float* ai = acc.data() + i * dh;
-          for (std::int64_t d = 0; d < dh; ++d) {
-            ai[d] *= corr;
-          }
-        }
+        const std::int64_t nk = std::min(kBk, i0 + mq - j0);
+        // Online-softmax update per row: P relative to the running max.
+        causal_prob_block(
+            qblk, H, k + (g * S + j0) * Hkv + kvh * dh, Hkv, sblk.data(), i0,
+            mq, j0, nk, dh,
+            [&](std::int64_t i, float* si, std::int64_t visible) {
+              const auto r = static_cast<std::size_t>(i);
+              float bmax = -std::numeric_limits<float>::infinity();
+              for (std::int64_t j = 0; j < visible; ++j) {
+                si[j] *= scl;
+                bmax = std::max(bmax, si[j]);
+              }
+              const float m_new = std::max(m[r], bmax);
+              const float corr = (l[r] == 0.0f) ? 0.0f : std::exp(m[r] - m_new);
+              float psum = 0.0f;
+              for (std::int64_t j = 0; j < visible; ++j) {
+                si[j] = std::exp(si[j] - m_new);
+                psum += si[j];
+              }
+              l[r] = l[r] * corr + psum;
+              m[r] = m_new;
+              float* ai = acc.data() + i * dh;
+              for (std::int64_t d = 0; d < dh; ++d) {
+                ai[d] *= corr;
+              }
+            });
         // acc[mq, dh] += P_blk * V_blk.
         kernels::gemm(sblk.data(), kBk, 1, v + (g * S + j0) * Hkv + kvh * dh,
                       Hkv, 1, acc.data(), dh, mq, nk, dh, /*accumulate=*/true);
@@ -318,40 +339,66 @@ void attention_backward_stream(const float* q, const float* k, const float* v,
   std::memset(dq, 0, static_cast<std::size_t>(G * S * H) * sizeof(float));
   std::memset(dk, 0, static_cast<std::size_t>(G * S * Hkv) * sizeof(float));
   std::memset(dv, 0, static_cast<std::size_t>(G * S * Hkv) * sizeof(float));
-  // Group query heads sharing a kv head onto one task (dk/dv accumulation).
+  // FlashAttention-2 backward on the forward's blocks: P is recomputed from
+  // the saved lse, and each (query block, key block) pair costs five GEMMs
+  // (S and dP, then the dV, dK and dQ updates). One task owns one (g, kv
+  // head): every query head of the group writes the same dk/dv slices, and
+  // dq rows belong to exactly one task, so all accumulation happens in the
+  // task's fixed loop order — bitwise deterministic at any thread count,
+  // with no atomics.
   parallel_for(0, static_cast<std::size_t>(G * nkv), [&](std::size_t gkv) {
     const std::int64_t g = static_cast<std::int64_t>(gkv) / nkv;
     const std::int64_t kvh = static_cast<std::int64_t>(gkv) % nkv;
+    std::vector<float> pblk(static_cast<std::size_t>(kBq * kBk));
+    std::vector<float> dsblk(static_cast<std::size_t>(kBq * kBk));
+    std::vector<float> delta(static_cast<std::size_t>(S));
     for (std::int64_t h = kvh * group; h < (kvh + 1) * group; ++h) {
+      // D_i = <dout_i, out_i> (the "delta" trick from FlashAttention-2).
       for (std::int64_t i = 0; i < S; ++i) {
-        const float* qi = q + (g * S + i) * H + h * dh;
         const float* oi = out + (g * S + i) * H + h * dh;
         const float* doi = dout + (g * S + i) * H + h * dh;
-        float* dqi = dq + (g * S + i) * H + h * dh;
-        const float lse_i = lse[(g * nh + h) * S + i];
-        // D_i = <dout_i, out_i> (the "delta" trick from FlashAttention-2).
-        float delta = 0.0f;
+        float di = 0.0f;
         for (std::int64_t d = 0; d < dh; ++d) {
-          delta += doi[d] * oi[d];
+          di += doi[d] * oi[d];
         }
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float* kj = k + (g * S + j) * Hkv + kvh * dh;
-          const float* vj = v + (g * S + j) * Hkv + kvh * dh;
-          float s = 0.0f;
-          float dpv = 0.0f;
-          for (std::int64_t d = 0; d < dh; ++d) {
-            s += qi[d] * kj[d];
-            dpv += doi[d] * vj[d];
-          }
-          const float p = std::exp(s * scl - lse_i);
-          const float ds = p * (dpv - delta) * scl;
-          float* dkj = dk + (g * S + j) * Hkv + kvh * dh;
-          float* dvj = dv + (g * S + j) * Hkv + kvh * dh;
-          for (std::int64_t d = 0; d < dh; ++d) {
-            dqi[d] += ds * kj[d];
-            dkj[d] += ds * qi[d];
-            dvj[d] += p * doi[d];
-          }
+        delta[static_cast<std::size_t>(i)] = di;
+      }
+      const float* lse_h = lse + (g * nh + h) * S;
+      for (std::int64_t j0 = 0; j0 < S; j0 += kBk) {
+        const std::int64_t nk = std::min(kBk, S - j0);
+        const float* kblk = k + (g * S + j0) * Hkv + kvh * dh;
+        const float* vblk = v + (g * S + j0) * Hkv + kvh * dh;
+        float* dkblk = dk + (g * S + j0) * Hkv + kvh * dh;
+        float* dvblk = dv + (g * S + j0) * Hkv + kvh * dh;
+        // Causal: only query blocks at or below the key block's diagonal.
+        for (std::int64_t i0 = j0; i0 < S; i0 += kBq) {
+          const std::int64_t mq = std::min(kBq, S - i0);
+          const float* qblk = q + (g * S + i0) * H + h * dh;
+          const float* doblk = dout + (g * S + i0) * H + h * dh;
+          // dP[mq, nk] = dO_blk V_blkᵀ, turned into dS in place below.
+          kernels::gemm(doblk, H, 1, vblk, 1, Hkv, dsblk.data(), kBk, mq, dh,
+                        nk, /*accumulate=*/false);
+          // P = exp(S * scl - lse); dS = P * (dP - D) * scl, 0 if masked.
+          causal_prob_block(
+              qblk, H, kblk, Hkv, pblk.data(), i0, mq, j0, nk, dh,
+              [&](std::int64_t i, float* pi, std::int64_t visible) {
+                float* dsi = dsblk.data() + i * kBk;
+                const float lse_i = lse_h[i0 + i];
+                const float di = delta[static_cast<std::size_t>(i0 + i)];
+                for (std::int64_t j = 0; j < visible; ++j) {
+                  pi[j] = std::exp(pi[j] * scl - lse_i);
+                  dsi[j] = pi[j] * (dsi[j] - di) * scl;
+                }
+                std::fill(dsi + visible, dsi + nk, 0.0f);
+              });
+          // dV_blk += Pᵀ dO_blk;  dK_blk += dSᵀ Q_blk;  dQ_blk += dS K_blk.
+          kernels::gemm(pblk.data(), 1, kBk, doblk, H, 1, dvblk, Hkv, nk, mq,
+                        dh, /*accumulate=*/true);
+          kernels::gemm(dsblk.data(), 1, kBk, qblk, H, 1, dkblk, Hkv, nk, mq,
+                        dh, /*accumulate=*/true);
+          kernels::gemm(dsblk.data(), kBk, 1, kblk, Hkv, 1,
+                        dq + (g * S + i0) * H + h * dh, H, mq, nk, dh,
+                        /*accumulate=*/true);
         }
       }
     }

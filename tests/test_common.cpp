@@ -173,6 +173,42 @@ TEST(ThreadPool, ConcurrentCallersFromManyThreads) {
   EXPECT_EQ(total.load(), 6 * 5 * 100);
 }
 
+TEST(ThreadPool, ManyTinyConcurrentDispatchesStayOnTheCallersFrame) {
+  // Each dispatch's record and body live on the caller's stack and die when
+  // the call returns. A worker that joins a dispatch after the caller has
+  // stopped waiting for it would run on a dead frame; with thousands of
+  // two-index dispatches racing from several threads, that window gets hit
+  // (ASan/TSan report it; a plain build sees a miscount or a crash).
+  ThreadPool pool(3);
+  constexpr int kThreads = 4;
+  constexpr int kDispatches = 3000;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int rep = 0; rep < kDispatches; ++rep) {
+        std::atomic<int> covered{0};
+        pool.for_range(
+            0, 2,
+            [&covered](std::size_t lo, std::size_t hi) {
+              covered.fetch_add(static_cast<int>(hi - lo));
+            },
+            /*grain=*/1);
+        if (covered.load() != 2) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+  // Every call went through the arena (4 callers never fill 32 slots).
+  EXPECT_EQ(pool.stats().dispatches,
+            static_cast<std::uint64_t>(kThreads) * kDispatches);
+}
+
 TEST(ThreadPool, DedicatedPoolRunsWork) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);

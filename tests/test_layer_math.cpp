@@ -2,9 +2,12 @@
 // attention identity (the Flash-Attention substitution must be exact math).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "gradcheck.hpp"
 #include "nn/layer_math.hpp"
 #include "tensor/tensor.hpp"
@@ -170,7 +173,11 @@ INSTANTIATE_TEST_SUITE_P(
     Dims, AttentionParity,
     ::testing::Values(AttnDims{1, 1, 1, 2}, AttnDims{1, 4, 1, 4},
                       AttnDims{2, 8, 2, 4}, AttnDims{1, 16, 4, 8},
-                      AttnDims{3, 5, 2, 6}));
+                      AttnDims{3, 5, 2, 6},
+                      // One whole 64-block, a one-row ragged tail, a
+                      // ragged third block, and four full blocks.
+                      AttnDims{1, 64, 2, 8}, AttnDims{2, 65, 2, 16},
+                      AttnDims{1, 130, 2, 8}, AttnDims{1, 256, 2, 16}));
 
 TEST(Attention, CausalityRespected) {
   // Changing a *future* token's k/v must not change earlier outputs.
@@ -286,7 +293,65 @@ INSTANTIATE_TEST_SUITE_P(
     Dims, GqaParity,
     ::testing::Values(GqaDims{1, 4, 2, 1, 4}, GqaDims{2, 6, 4, 2, 4},
                       GqaDims{1, 8, 8, 2, 2}, GqaDims{2, 5, 6, 3, 4},
-                      GqaDims{1, 7, 4, 4, 4}));  // nkv==nh degenerates to MHA
+                      GqaDims{1, 7, 4, 4, 4},  // nkv==nh degenerates to MHA
+                      GqaDims{2, 65, 8, 2, 8}, GqaDims{1, 130, 8, 2, 16},
+                      GqaDims{1, 256, 8, 2, 8}));
+
+TEST(Attention, BlockedBackwardIsBitwiseDeterministic) {
+  // Multi-block, ragged, grouped: every accumulation path is exercised.
+  const std::int64_t G = 2, S = 130, nh = 8, nkv = 2, dh = 16;
+  const std::int64_t H = nh * dh, Hkv = nkv * dh;
+  Rng rng(23);
+  const Tensor q = Tensor::randn({G * S, H}, rng);
+  const Tensor k = Tensor::randn({G * S, Hkv}, rng);
+  const Tensor v = Tensor::randn({G * S, Hkv}, rng);
+  const Tensor dout = Tensor::randn({G * S, H}, rng);
+  Tensor out({G * S, H});
+  Tensor lse({G, nh, S});
+  attention_forward_stream(q.data(), k.data(), v.data(), out.data(),
+                           lse.data(), G, S, nh, nkv, dh);
+
+  struct Grads {
+    Tensor dq, dk, dv;
+  };
+  const auto backward = [&] {
+    Grads r{Tensor({G * S, H}), Tensor({G * S, Hkv}), Tensor({G * S, Hkv})};
+    attention_backward_stream(q.data(), k.data(), v.data(), out.data(),
+                              lse.data(), dout.data(), r.dq.data(),
+                              r.dk.data(), r.dv.data(), G, S, nh, nkv, dh);
+    return r;
+  };
+  const auto expect_bitwise_equal = [](const Grads& a, const Grads& b) {
+    for (const auto& [x, y] : {std::pair{&a.dq, &b.dq},
+                               std::pair{&a.dk, &b.dk},
+                               std::pair{&a.dv, &b.dv}}) {
+      ASSERT_EQ(x->numel(), y->numel());
+      EXPECT_EQ(std::memcmp(x->data(), y->data(),
+                            static_cast<std::size_t>(x->numel()) *
+                                sizeof(float)),
+                0);
+    }
+  };
+
+  const Grads top = backward();
+  expect_bitwise_equal(backward(), top);
+
+  // From inside global-pool tasks the (g, kv-head) split and the GEMMs run
+  // serially; on the calling thread they fan out. Both must agree bitwise.
+  const std::size_t calls = 2 * (ThreadPool::global().size() + 1);
+  std::vector<Grads> nested(calls);
+  ThreadPool::global().for_range(
+      0, calls,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          nested[i] = backward();
+        }
+      },
+      /*grain=*/1);
+  for (const Grads& r : nested) {
+    expect_bitwise_equal(r, top);
+  }
+}
 
 TEST(Gqa, GradCheckSmall) {
   const std::int64_t G = 1, S = 3, nh = 2, nkv = 1, dh = 4;
