@@ -133,6 +133,12 @@ Recorder* Recorder::active() {
   return g_active.load(std::memory_order_relaxed);
 }
 
+void Recorder::reserve_ranks(int num_ranks) {
+  for (int rank = 0; rank < num_ranks; ++rank) {
+    (void)ring_for(rank);
+  }
+}
+
 internal::ThreadRing* Recorder::ring_for(int rank) {
   std::lock_guard<std::mutex> lk(mu_);
   if (rank >= 0) {

@@ -76,6 +76,12 @@ class Recorder {
 
   const RecorderOptions& options() const { return options_; }
 
+  // Allocates the rings of ranks [0, num_ranks) now. A ring is otherwise
+  // allocated (and zero-filled: ~6 MB at the default capacity) on its
+  // rank's first span, under the registration mutex — inside a measured
+  // window that staggers rank start-up by one allocation per rank.
+  void reserve_ranks(int num_ranks);
+
   // Collects every recorded span (all threads), ordered by (rank, start),
   // and advances the rings past them. Call only at quiescent points: no
   // rank thread may be recording concurrently.

@@ -140,6 +140,29 @@ TEST(Recorder, RankRingSurvivesWorkerRespawn) {
   recorder.uninstall();
 }
 
+TEST(Recorder, ReservedRankRingsAreTheOnesRankThreadsRecordInto) {
+  obs::Recorder recorder;
+  recorder.reserve_ranks(3);
+  std::vector<obs::internal::ThreadRing*> reserved;
+  for (int r = 0; r < 3; ++r) {
+    reserved.push_back(recorder.ring_for(r));
+  }
+  recorder.install();
+  std::thread worker([] {
+    obs::RankScope rank_scope(2);
+    obs::SpanScope scope(obs::SpanKind::kForward, 7, 2);
+  });
+  worker.join();
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(recorder.ring_for(r), reserved[static_cast<std::size_t>(r)]);
+  }
+  const std::vector<obs::Span> spans = recorder.drain();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].rank, 2);
+  EXPECT_EQ(spans[0].microbatch, 7);
+  recorder.uninstall();
+}
+
 TEST(Recorder, ReinstallAtSameAddressResolvesFreshRings) {
   // Regression: the per-thread ring cache must key on the install epoch, not
   // the recorder's address — consecutive stack-allocated recorders typically
