@@ -1,6 +1,6 @@
 // Shared support for the machine-readable kernel-benchmark mode of the micro
 // benches: flag parsing (--kernels_json=PATH, --smoke), best-of-N timing,
-// and the SIMD-width label baked into the binary. With --kernels_json the
+// and the label of the GEMM micro-kernel that runs. With --kernels_json the
 // binary skips google-benchmark and writes one JSON document (consumed by CI
 // as an artifact and by artifacts/BENCH_kernels.json locally); without it,
 // the usual google-benchmark CLI runs.
@@ -9,6 +9,8 @@
 #include <chrono>
 #include <string>
 #include <vector>
+
+#include "tensor/gemm.hpp"
 
 namespace weipipe::bench {
 
@@ -48,18 +50,8 @@ double best_seconds(int reps, F&& fn) {
   return best;
 }
 
-// The micro-kernel vector width this binary was compiled for (mirrors the
-// ISA selection in tensor/gemm.cpp).
-inline const char* simd_label() {
-#if defined(__AVX512F__)
-  return "avx512";
-#elif defined(__AVX__)
-  return "avx";
-#elif defined(__SSE2__) || defined(__x86_64__)
-  return "sse2";
-#else
-  return "scalar";
-#endif
-}
+// The GEMM micro-kernel this process dispatched to ("avx512", "avx2",
+// "sse2"), probed at run time rather than read from compile-time macros.
+inline const char* simd_label() { return kernels::gemm_isa(); }
 
 }  // namespace weipipe::bench

@@ -48,9 +48,8 @@ void unpack_bf16_scalar(const std::uint16_t* src, std::size_t n, float* dst) {
 // ---- SIMD kernels (F16C/AVX2, runtime-dispatched) --------------------------
 //
 // 8 floats per iteration, unaligned loads/stores, scalar tail. Dispatch is
-// per-call via a cached __builtin_cpu_supports probe (same spirit as the
-// gemm micro-kernels, but runtime rather than compile-time so the generic
-// build still uses F16C wherever it runs).
+// per-call via a cached __builtin_cpu_supports probe, as for the gemm
+// micro-kernels, so the generic build still uses F16C wherever it runs.
 
 #if WEIPIPE_WIRE_X86
 
