@@ -1,7 +1,7 @@
 // Ablations of the design decisions DESIGN.md §5 calls out, at paper scale
 // through the calibrated simulator:
 //   1. Interleave vs Naive across round counts (the §4.2.2 improvement)
-//   2. Communication overlap (batch_isend_irecv prefetch) on/off
+//   2. Communication overlap (weight sends ahead of compute) on/off
 //   3. FSDP gather prefetch on/off
 //   4. Ring granularity: workers per ring at fixed world size (hybrid DP)
 //   5. Wire precision: fp16 vs fp32 circulation volume

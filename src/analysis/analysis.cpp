@@ -43,6 +43,7 @@ struct ChannelKey {
 struct Carried {
   MsgKind kind = MsgKind::kOpaque;
   std::int64_t chunk = -1;
+  std::int64_t microbatch = -1;
   int src_rank = -1;
   std::int64_t src_op = -1;
 };
@@ -291,7 +292,7 @@ class Analyzer {
   }
 
   void on_send(int r, RankExec& re, const sched::SendOp& s) {
-    Carried carried{s.kind, s.chunk, r, re.op_index};
+    Carried carried{s.kind, s.chunk, s.microbatch, r, re.op_index};
     const int idx = slot_index(s.kind);
     if (idx >= 0 && checking_versions()) {
       Slot& slot = re.slots[idx];
@@ -359,6 +360,17 @@ class Analyzer {
                   ? " chunk " + std::to_string(carried.chunk)
                   : std::string())
           << " — tags are crossed";
+      add(FindingKind::kTagMismatch, oss.str(),
+          {make_ref(prog_, r, re.op_index, "the recv"),
+           make_ref(prog_, carried.src_rank, carried.src_op,
+                    "the matched send")});
+    } else if (carried.microbatch >= 0 && rc.microbatch >= 0 &&
+               carried.microbatch != rc.microbatch) {
+      std::ostringstream oss;
+      oss << locate_op(prog_, r, re.op_index) << " files "
+          << to_string(rc.kind) << " under microbatch " << rc.microbatch
+          << " but the matched send carries microbatch "
+          << carried.microbatch << " — messages are crossed";
       add(FindingKind::kTagMismatch, oss.str(),
           {make_ref(prog_, r, re.op_index, "the recv"),
            make_ref(prog_, carried.src_rank, carried.src_op,

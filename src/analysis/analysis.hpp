@@ -20,8 +20,9 @@
 //     forward/backward ComputeOp on chunk c holds the right shard at that
 //     program point, that every annotated send ships the chunk the rank
 //     actually holds, and that matched send/recv pairs agree on payload
-//     kind (a swapped tag lands a B-flow weight in the F buffer — invisible
-//     at runtime, a tag-mismatch finding here).
+//     kind and, for activations, on microbatch (a swapped tag lands a
+//     B-flow weight in the F buffer — invisible at runtime, a tag-mismatch
+//     finding here).
 //
 //  3. Memory bound. mem_delta only changes on a rank's own compute ops and
 //     ops on one rank are totally ordered, so the per-rank peak — the max
@@ -49,7 +50,7 @@ enum class FindingKind {
   kValidation,        // structural problem (delegated sched::validate check)
   kUnmatchedRecv,     // a Recv no Send can ever satisfy: guaranteed stall
   kDeadlockCycle,     // circular wait among blocked ranks
-  kTagMismatch,       // matched send/recv disagree on payload kind
+  kTagMismatch,       // matched send/recv disagree on kind or microbatch
   kWeightVersion,     // wrong weight shard held at a compute / send
   kGradAccumulation,  // weight-gradient never co-resident with its W pass
   kComputeCoverage,   // (microbatch, chunk) computed 0 or > 1 times

@@ -42,6 +42,9 @@ std::string describe_op(const sched::Program& program, int rank,
         oss << " chunk " << s->chunk;
       }
     }
+    if (s->microbatch >= 0) {
+      oss << " m=" << s->microbatch;
+    }
     if (s->blocking) {
       oss << ", blocking";
     }
@@ -50,6 +53,9 @@ std::string describe_op(const sched::Program& program, int rank,
     oss << "Recv(src=" << rc->src << ", tag=" << rc->tag;
     if (rc->kind != sched::MsgKind::kOpaque) {
       oss << ", expects " << to_string(rc->kind);
+    }
+    if (rc->microbatch >= 0) {
+      oss << " m=" << rc->microbatch;
     }
     oss << ")";
   } else if (const auto* cs = std::get_if<sched::CollectiveStartOp>(&op)) {

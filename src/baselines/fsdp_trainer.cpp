@@ -1,10 +1,8 @@
 #include "baselines/fsdp_trainer.hpp"
 
 #include "comm/collectives.hpp"
-#include "common/stopwatch.hpp"
+#include "core/execute.hpp"
 #include "nn/loss.hpp"
-#include "obs/health.hpp"
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
 namespace weipipe {
@@ -31,30 +29,11 @@ FsdpTrainer::FsdpTrainer(const TrainConfig& cfg, std::int64_t num_ranks,
 
 IterationResult FsdpTrainer::train_iteration(const Dataset& data,
                                              std::int64_t iter_index) {
-  Stopwatch sw;
-  obs::SpanScope step_span(obs::SpanKind::kStep, iter_index);
-  // Uniform step cadence signal: every strategy bumps the same counter at
-  // the same point, so telemetry windows align across strategies.
-  obs::runtime_metrics().counter("step.index").increment();
-  // Step-cadence heartbeat for the live health plane (obs/health.hpp).
-  obs::HealthStepScope health_step(iter_index);
-  fabric_->reset_stats();
-  std::vector<double> losses(
-      static_cast<std::size_t>(cfg_.num_microbatches), 0.0);
-  comm::run_workers(*fabric_, [&](int rank, comm::Endpoint& ep) {
-    rank_body(rank, ep, data, iter_index, losses);
-  });
-  IterationResult res;
-  double sum = 0.0;
-  for (double l : losses) {
-    sum += l;
-  }
-  res.mean_loss =
-      static_cast<float>(sum / static_cast<double>(cfg_.num_microbatches));
-  res.wall_seconds = sw.seconds();
-  res.wire_bytes = fabric_->total_bytes();
-  res.wire_messages = fabric_->total_messages();
-  return res;
+  return exec::run_step(
+      *fabric_, iter_index, cfg_.num_microbatches,
+      [&](int rank, comm::Endpoint& ep, std::vector<double>& losses) {
+        rank_body(rank, ep, data, iter_index, losses);
+      });
 }
 
 void FsdpTrainer::rank_body(int rank, comm::Endpoint& ep,

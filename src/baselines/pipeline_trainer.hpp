@@ -4,7 +4,9 @@
 // Stage s permanently owns chunk s (weights + Adam state); microbatches flow
 // through stages; activations (wire precision cfg.precision.activations) and
 // activation gradients (.activation_grads) cross the fabric — the volumes
-// that blow up with G*S*H and motivate WeiPipe.
+// that blow up with G*S*H and motivate WeiPipe. Each stage runs its rank of
+// sched::build_gpipe / build_1f1b on the schedule interpreter
+// (core/execute.hpp), after the analyzer has proven the program.
 #pragma once
 
 #include <memory>
@@ -12,6 +14,7 @@
 #include "comm/fabric.hpp"
 #include "core/trainer.hpp"
 #include "nn/model.hpp"
+#include "sched/program.hpp"
 
 namespace weipipe {
 
@@ -39,15 +42,13 @@ class PipelineTrainer final : public Trainer {
   comm::Fabric* fabric() override { return fabric_.get(); }
 
  private:
-  void stage_body(int rank, comm::Endpoint& ep, const Dataset& data,
-                  std::int64_t iter_index, std::vector<double>& losses);
-
   TrainConfig cfg_;
   std::int64_t p_;
   PipelineOptions opts_;
   Model model_;
   std::vector<ChunkSpec> chunks_;
   std::unique_ptr<comm::Fabric> fabric_;
+  sched::Program program_;  // analyzed at construction
 };
 
 }  // namespace weipipe

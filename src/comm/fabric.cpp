@@ -55,13 +55,6 @@ LinkModel uniform_link(double bandwidth_bytes_per_sec, double latency_sec) {
   };
 }
 
-void Request::wait() {
-  if (waiter_) {
-    waiter_();
-    waiter_ = nullptr;
-  }
-}
-
 int Endpoint::world_size() const { return fabric_->world_size(); }
 
 void Endpoint::send(int dst, std::int64_t tag,
@@ -98,60 +91,6 @@ Buffer Endpoint::recv_buffer(int src, std::int64_t tag) {
     span.set_flow_id(taken.flow_id);
   }
   return std::move(taken.payload);
-}
-
-Request Endpoint::isend(int dst, std::int64_t tag,
-                        std::vector<std::uint8_t> payload) {
-  // Eager buffered send: complete at post time, like NCCL with send buffers.
-  send(dst, tag, std::move(payload));
-  return Request([] {});
-}
-
-Request Endpoint::irecv(int src, std::int64_t tag,
-                        std::vector<std::uint8_t>* out) {
-  WEIPIPE_CHECK(out != nullptr);
-  Fabric* fabric = fabric_;
-  const int rank = rank_;
-  return Request([fabric, rank, src, tag, out] {
-    *out = fabric->take(rank, src, tag).payload.release_vector();
-  });
-}
-
-Request Endpoint::irecv_buffer(int src, std::int64_t tag, Buffer* out) {
-  WEIPIPE_CHECK(out != nullptr);
-  Fabric* fabric = fabric_;
-  const int rank = rank_;
-  return Request([fabric, rank, src, tag, out] {
-    Fabric::Taken taken = fabric->take(rank, src, tag);
-    obs::SpanScope span(obs::SpanKind::kRecvTransfer);
-    if (span.armed()) {
-      span.set_rank(rank);
-      span.set_peer(src);
-      span.set_tag(tag);
-      span.set_bytes(static_cast<std::int64_t>(taken.payload.size()));
-      span.set_flow_id(taken.flow_id);
-    }
-    *out = std::move(taken.payload);
-  });
-}
-
-Request Endpoint::irecv_floats(int src, std::int64_t tag,
-                               std::span<float> out,
-                               WirePrecision precision) {
-  Fabric* fabric = fabric_;
-  const int rank = rank_;
-  return Request([fabric, rank, src, tag, out, precision] {
-    Fabric::Taken taken = fabric->take(rank, src, tag);
-    obs::SpanScope span(obs::SpanKind::kRecvTransfer);
-    if (span.armed()) {
-      span.set_rank(rank);
-      span.set_peer(src);
-      span.set_tag(tag);
-      span.set_bytes(static_cast<std::int64_t>(taken.payload.size()));
-      span.set_flow_id(taken.flow_id);
-    }
-    unpack_floats(taken.payload.span(), precision, out);
-  });
 }
 
 void Endpoint::send_floats(int dst, std::int64_t tag,
@@ -929,20 +868,6 @@ void run_workers(Fabric& fabric,
   if (first_error) {
     std::rethrow_exception(first_error);
   }
-}
-
-std::vector<Request> batch_isend_irecv(Endpoint& ep,
-                                       std::span<const SendSpec> sends,
-                                       std::span<const RecvSpec> recvs) {
-  for (const SendSpec& s : sends) {
-    ep.send_floats(s.dst, s.tag, s.values, s.precision);
-  }
-  std::vector<Request> requests;
-  requests.reserve(recvs.size());
-  for (const RecvSpec& r : recvs) {
-    requests.push_back(ep.irecv_floats(r.src, r.tag, r.out, r.precision));
-  }
-  return requests;
 }
 
 }  // namespace weipipe::comm

@@ -2,10 +2,10 @@
 //
 // One Endpoint per rank; local ranks run on their own std::thread (see
 // run_workers). Semantics mirror what the paper's implementation relies on:
-//  * eager, buffered sends — isend never blocks (NCCL P2P with send buffers);
+//  * eager, buffered sends — a send never blocks (NCCL P2P with send
+//    buffers), which is what lets a rank ship weight chunks ahead of its
+//    compute and overlap the transfer with it;
 //  * tagged matching by (source, tag) with FIFO order per pair;
-//  * irecv/wait for the prefetch overlap the paper gets from
-//    torch.distributed.batch_isend_irecv;
 //  * an optional LinkModel that delays *delivery* (not the sender), so
 //    emulated bandwidth overlaps with compute exactly like an async DMA.
 //
@@ -80,20 +80,6 @@ struct FabricStats {
 
 class Fabric;
 
-// A completion handle, as returned by isend/irecv.
-class Request {
- public:
-  Request() = default;
-  // Blocks until the operation completes (no-op for eager sends).
-  void wait();
-  bool valid() const { return static_cast<bool>(waiter_); }
-
- private:
-  friend class Endpoint;
-  explicit Request(std::function<void()> waiter) : waiter_(std::move(waiter)) {}
-  std::function<void()> waiter_;
-};
-
 class Endpoint {
  public:
   int rank() const { return rank_; }
@@ -112,15 +98,6 @@ class Endpoint {
   // Buffer receive: over the inproc backend this is the sender's storage
   // (same bytes, no copy); multi-process backends rematerialize the bytes.
   Buffer recv_buffer(int src, std::int64_t tag);
-
-  Request isend(int dst, std::int64_t tag, std::vector<std::uint8_t> payload);
-  // out must stay alive until wait() returns.
-  Request irecv(int src, std::int64_t tag, std::vector<std::uint8_t>* out);
-  // Zero-copy async receive; out must stay alive until wait() returns.
-  Request irecv_buffer(int src, std::int64_t tag, Buffer* out);
-  // Float-typed async receive: wait() unpacks (and widens) into `out`.
-  Request irecv_floats(int src, std::int64_t tag, std::span<float> out,
-                       WirePrecision precision);
 
   // -- float-span conveniences (quantize on send, widen on receive) ----------
   void send_floats(int dst, std::int64_t tag, std::span<const float> values,
@@ -338,29 +315,5 @@ class Fabric {
 // the fabric with dangling threads.
 void run_workers(Fabric& fabric,
                  const std::function<void(int rank, Endpoint& ep)>& fn);
-
-// ---- batched posting (the paper's torch.distributed.batch_isend_irecv) ------
-
-struct SendSpec {
-  int dst = 0;
-  std::int64_t tag = 0;
-  std::span<const float> values;
-  WirePrecision precision = WirePrecision::Fp32;
-};
-
-struct RecvSpec {
-  int src = 0;
-  std::int64_t tag = 0;
-  // Destination buffer; must stay alive until the returned request completes.
-  std::span<float> out;
-  WirePrecision precision = WirePrecision::Fp32;
-};
-
-// Posts all sends eagerly and returns one Request per recv; waiting on a
-// request unpacks into its RecvSpec buffer. Mirrors the PyTorch API WeiPipe's
-// reference implementation uses for communication/computation overlap.
-std::vector<Request> batch_isend_irecv(Endpoint& ep,
-                                       std::span<const SendSpec> sends,
-                                       std::span<const RecvSpec> recvs);
 
 }  // namespace weipipe::comm

@@ -5,7 +5,7 @@
 #include "comm/collectives.hpp"
 #include "comm/wire.hpp"
 #include "common/check.hpp"
-#include "core/wire_tags.hpp"
+#include "sched/wire_tags.hpp"
 #include "nn/model.hpp"
 #include "sched/weipipe_schedule.hpp"
 

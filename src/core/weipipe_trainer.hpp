@@ -6,11 +6,17 @@
 // to WeiPipeSchedule. Activations and their gradients never cross the wire —
 // the defining property this reproduces.
 //
+// The turns are the program sched::build_weipipe emits, proven by the
+// analyzer when the trainer is built and run by the schedule interpreter
+// (core/execute.hpp); the trainer keeps the weight redistribution before
+// the turns and the update after them.
+//
 // Mixed precision follows the paper: circulated W and D in
 // cfg.precision.weights / .weight_grads (fp16 in paper mode), fp32 Adam
-// masters sharded across owners. Communication/computation overlap uses
-// isend/irecv prefetch (the paper's batch_isend_irecv), toggleable for the
-// overlap ablation.
+// masters sharded across owners. Communication/computation overlap comes
+// from sending each turn's weight chunks before computing, so the eager
+// transfer runs under the compute; async_prefetch = false moves the sends
+// after the compute for the overlap ablation.
 #pragma once
 
 #include <memory>
@@ -19,13 +25,14 @@
 #include "core/trainer.hpp"
 #include "sched/weipipe_schedule.hpp"
 #include "nn/model.hpp"
+#include "sched/program.hpp"
 
 namespace weipipe {
 
 struct WeiPipeOptions {
   WeiPipeMode mode = WeiPipeMode::kInterleave;
-  // Post weight sends before compute / receive asynchronously (paper §5
-  // "Communication Overlap"); false = strictly blocking phases (ablation).
+  // Send weight chunks before compute (paper §5 "Communication
+  // Overlap"); false = send after compute (ablation).
   bool async_prefetch = true;
   // Hybrid WeiPipe x data parallelism: dp_degree independent rings, each
   // training N/dp_degree microbatches; chunk gradients are chain-reduced
@@ -71,6 +78,7 @@ class WeiPipeTrainer final : public Trainer {
   WeiPipeSchedule sched_;
   std::vector<ChunkSpec> chunks_;
   std::unique_ptr<comm::Fabric> fabric_;
+  sched::Program program_;  // one ring's turns, analyzed at construction
 };
 
 }  // namespace weipipe

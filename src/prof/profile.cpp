@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -16,16 +17,16 @@
 #include "comm/fabric.hpp"
 #include "common/check.hpp"
 #include "core/accounting.hpp"
+#include "core/execute.hpp"
 #include "core/resilience.hpp"
 #include "core/weipipe_trainer.hpp"
-#include "core/wire_tags.hpp"
+#include "sched/wire_tags.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "sched/builders.hpp"
 #include "sched/weipipe_schedule.hpp"
-#include "sim/program_runner.hpp"
 #include "sim/topology.hpp"
 #include "trace/runtime.hpp"
 
@@ -41,7 +42,7 @@ const char* const kScheduleStrategies[] = {
 
 // The predicted side of every comparison: transfer over ideal links is free,
 // so the engine measures pure schedule structure (dependency bubbles), which
-// is what the runner's eager fabric + busy-wait compute realizes.
+// is what the interpreter's eager fabric + busy-wait compute realizes.
 sim::Topology ideal_topology(std::int64_t ranks) {
   return sim::Topology::uniform(static_cast<int>(ranks),
                                 sim::Link{1e15, 0.0}, "ideal");
@@ -103,10 +104,6 @@ sched::Program build_schedule_backed(const ProfileOptions& options) {
 // acct speaks the canonical trainer names; prof accepts one alias.
 std::string acct_strategy(const std::string& s) {
   return s == "weipipe-interleave" ? "weipipe" : s;
-}
-
-comm::Fabric* trainer_fabric(Trainer& trainer) {
-  return trainer.fabric();  // nullptr for sequential
 }
 
 // obs/ cannot name sched::MsgKind (layering), so prof supplies the tag ->
@@ -570,120 +567,102 @@ ProfileReport run_profile(const ProfileOptions& options) {
   std::int64_t bubble_count = 0;
   std::vector<comm::FabricStats> pair_stats;
 
-  if (report.schedule_backed) {
-    WEIPIPE_CHECK_MSG(options.fault_spec.empty(),
-                      "--faults requires a trainer-backed strategy with a "
-                      "persistent fabric; '"
-                          << options.strategy
-                          << "' replays schedule IR on a per-run fabric "
-                             "(use weipipe_cli chaos or a trainer strategy)");
-    WEIPIPE_CHECK_MSG(options.link_model == nullptr,
-                      "--link-gbps requires a trainer-backed strategy; '"
-                          << options.strategy
-                          << "' is predicted on ideal links, so a modeled "
-                             "link would skew measured against predicted");
-    report.ranks = options.workers;
-    const sched::Program program = build_schedule_backed(options);
-
-    // Prediction and static bound come from the exact program we execute.
-    const sim::SimResult predicted =
-        sim::simulate(program, ideal_topology(report.ranks));
-    report.predicted_step_seconds = predicted.makespan;
-    report.predicted_bubble = predicted.bubble_ratio();
-    const analysis::AnalysisReport analyzed = analysis::analyze(program);
-    WEIPIPE_CHECK_MSG(!analyzed.deadlocked,
-                      "schedule '" << options.strategy
-                                   << "' deadlocks; not profiling it");
-    report.static_peak_bound_bytes = 0.0;
-    for (double b : analyzed.static_peak_bytes) {
-      report.static_peak_bound_bytes =
-          std::max(report.static_peak_bound_bytes, b);
-    }
-
-    for (std::int64_t i = 0; i < options.warmup_iters; ++i) {
-      (void)sim::run_program(program);
-    }
-    const ThreadPoolStats pool_before = ThreadPool::global().stats();
-    recorder.install();
-    for (std::int64_t i = 0; i < options.iters; ++i) {
-      const sim::ProgramRunResult run = sim::run_program(program);
-      report.measured_step_seconds += run.wall_seconds;
-      for (double b : run.peak_act_bytes) {
-        report.measured_peak_act_bytes =
-            std::max(report.measured_peak_act_bytes, b);
-      }
-      std::vector<obs::Span> iter_spans = recorder.drain();
-      const sim::SimResult converted =
-          trace::spans_to_sim_result(iter_spans);
-      if (converted.makespan > 0.0) {
-        bubble_sum += converted.bubble_ratio();
-        bubble_count += 1;
-      }
-      {
-        obs::StepAnatomy anat =
-            obs::analyze_step(iter_spans, anatomy_options());
-        if (anat.step_index < 0) anat.step_index = i;
-        report.anatomy.push_back(std::move(anat));
-      }
-      if (i == options.iters - 1) {
-        report.timeline = converted;
-        report.wire_bytes = run.wire_bytes;
-        report.wire_messages = run.wire_messages;
-        report.max_in_flight = run.max_in_flight;
-        pair_stats = run.pair_stats;
-      }
-      report.spans.insert(report.spans.end(),
-                          std::make_move_iterator(iter_spans.begin()),
-                          std::make_move_iterator(iter_spans.end()));
-    }
-    recorder.uninstall();
-    report.pool_stats =
-        pool_stats_delta(pool_before, ThreadPool::global().stats());
-  } else {
-    TrainConfig cfg = options.train;
-    cfg.validate();
-    report.ranks = options.strategy == "sequential" ? 1 : options.workers;
-
-    // Parameter-derived static bounds for the measured footprint to close
-    // against (the activation side is covered by static_peak_bound_bytes).
-    const acct::FootprintBounds bounds = acct::static_footprint_bounds(
-        acct_strategy(options.strategy), cfg, report.ranks);
-    report.static_weights_bound_bytes =
-        static_cast<double>(bounds.weights_bytes);
-    report.static_grads_bound_bytes =
-        static_cast<double>(bounds.weight_grads_bytes);
-    report.static_optimizer_bound_bytes =
-        static_cast<double>(bounds.optimizer_bytes);
-
-    std::unique_ptr<Trainer> trainer =
-        make_trainer(options.strategy, cfg, options.workers,
-                     options.link_model);
-    WEIPIPE_CHECK_MSG(options.link_model == nullptr ||
-                          trainer->fabric() != nullptr,
-                      "--link-gbps requires a fabric-backed strategy, not '"
-                          << options.strategy << "'");
+  {
+    // Both paths measure the same way: `step` runs one iteration on
+    // `fabric` (nullptr for sequential) with the recorder installed.
+    const TrainConfig& cfg = options.train;
+    sched::Program program;
+    std::unique_ptr<comm::Fabric> schedule_fabric;
+    std::unique_ptr<Trainer> trainer;
     SyntheticDataset data(cfg.model.vocab_size, cfg.seed);
+    std::function<IterationResult(std::int64_t)> step;
+    comm::Fabric* fabric = nullptr;
+    if (report.schedule_backed) {
+      WEIPIPE_CHECK_MSG(options.fault_spec.empty(),
+                        "--faults requires a trainer-backed strategy; '"
+                            << options.strategy
+                            << "' runs a timed schedule with no training "
+                               "state to roll back (use weipipe_cli chaos or "
+                               "a trainer strategy)");
+      WEIPIPE_CHECK_MSG(options.link_model == nullptr,
+                        "--link-gbps requires a trainer-backed strategy; '"
+                            << options.strategy
+                            << "' is predicted on ideal links, so a modeled "
+                               "link would skew measured against predicted");
+      report.ranks = options.workers;
+      program = build_schedule_backed(options);
+
+      // Prediction and static bound come from the exact program we execute.
+      const sim::SimResult predicted =
+          sim::simulate(program, ideal_topology(report.ranks));
+      report.predicted_step_seconds = predicted.makespan;
+      report.predicted_bubble = predicted.bubble_ratio();
+      const analysis::AnalysisReport analyzed = analysis::analyze(program);
+      WEIPIPE_CHECK_MSG(!analyzed.deadlocked,
+                        "schedule '" << options.strategy
+                                     << "' deadlocks; not profiling it");
+      report.static_peak_bound_bytes = 0.0;
+      for (double b : analyzed.static_peak_bytes) {
+        report.static_peak_bound_bytes =
+            std::max(report.static_peak_bound_bytes, b);
+      }
+
+      schedule_fabric =
+          std::make_unique<comm::Fabric>(static_cast<int>(report.ranks));
+      fabric = schedule_fabric.get();
+      step = [&](std::int64_t iter) {
+        return exec::run_step(
+            *fabric, iter, options.rounds * options.workers,
+            [&](int rank, comm::Endpoint& ep, std::vector<double>&) {
+              exec::TimedBackend timed;
+              exec::execute(program, rank, ep, timed);
+            });
+      };
+    } else {
+      cfg.validate();
+      report.ranks = options.strategy == "sequential" ? 1 : options.workers;
+
+      // Parameter-derived static bounds for the measured footprint to close
+      // against (the activation side is covered by static_peak_bound_bytes).
+      const acct::FootprintBounds bounds = acct::static_footprint_bounds(
+          acct_strategy(options.strategy), cfg, report.ranks);
+      report.static_weights_bound_bytes =
+          static_cast<double>(bounds.weights_bytes);
+      report.static_grads_bound_bytes =
+          static_cast<double>(bounds.weight_grads_bytes);
+      report.static_optimizer_bound_bytes =
+          static_cast<double>(bounds.optimizer_bytes);
+
+      trainer = make_trainer(options.strategy, cfg, options.workers,
+                             options.link_model);
+      fabric = trainer->fabric();
+      WEIPIPE_CHECK_MSG(options.link_model == nullptr || fabric != nullptr,
+                        "--link-gbps requires a fabric-backed strategy, not '"
+                            << options.strategy << "'");
+      step = [&](std::int64_t iter) {
+        const RecoveryResult rec =
+            train_iteration_with_recovery(*trainer, data, iter);
+        report.fault_recoveries += rec.recoveries;
+        return rec.result;
+      };
+    }
 
     std::int64_t iter = 0;
     for (std::int64_t i = 0; i < options.warmup_iters; ++i) {
-      (void)trainer->train_iteration(data, iter++);
+      (void)step(iter++);
     }
     if (!options.fault_spec.empty()) {
-      comm::Fabric* fault_fabric = trainer->fabric();
-      WEIPIPE_CHECK_MSG(fault_fabric != nullptr,
+      WEIPIPE_CHECK_MSG(fabric != nullptr,
                         "--faults requires a fabric-backed strategy, not '"
                             << options.strategy << "'");
-      fault_fabric->install_fault_plan(
+      fabric->install_fault_plan(
           comm::parse_fault_plan(options.fault_spec, cfg.seed));
       report.fault_injected = true;
     }
     const ThreadPoolStats pool_before = ThreadPool::global().stats();
     recorder.install();
     for (std::int64_t i = 0; i < options.iters; ++i) {
-      const RecoveryResult rec =
-          train_iteration_with_recovery(*trainer, data, iter++);
-      const IterationResult& res = rec.result;
-      report.fault_recoveries += rec.recoveries;
+      const IterationResult res = step(iter++);
       report.measured_step_seconds += res.wall_seconds;
       std::vector<obs::Span> iter_spans = recorder.drain();
       const sim::SimResult converted =
@@ -704,7 +683,7 @@ ProfileReport run_profile(const ProfileOptions& options) {
         report.timeline = converted;
         report.wire_bytes = res.wire_bytes;
         report.wire_messages = res.wire_messages;
-        if (comm::Fabric* fabric = trainer_fabric(*trainer)) {
+        if (fabric != nullptr) {
           pair_stats = fabric->stats_matrix();
           report.max_in_flight = fabric->max_in_flight();
           report.ring_stats = fabric->ring_stats();

@@ -11,9 +11,11 @@
 //    simulating the matching schedule on an ideal topology.
 //  * schedule-backed (wzb1, wzb2, zb1, zb2, naive, interleave, no-prefetch):
 //    builds the sched::Program with synthetic costs (T_F = unit_seconds,
-//    T_B = ratio * unit) and executes it on the real fabric via
-//    sim::run_program. Here prediction and measurement share the exact same
-//    program, so the comparison isolates engine-model fidelity.
+//    T_B = ratio * unit) and runs it on the real fabric through the
+//    schedule interpreter's timed backend (core/execute.hpp), the
+//    interpreter the trainers use. Here prediction and measurement share
+//    the exact same program, so the comparison isolates engine-model
+//    fidelity.
 //
 // `weipipe_cli profile` is a thin wrapper over run_profile(); tests drive it
 // directly.
@@ -45,7 +47,7 @@ struct ProfileOptions {
   double bwd_ratio = 2.0;      // T_B / T_F
   double unit_seconds = 2e-3;  // wall seconds per modeled T_F unit
   // Modeled bytes per circulating weight chunk / per-chunk activation —
-  // shipped for real by the runner, so keep them modest.
+  // shipped for real by the timed backend, so keep them modest.
   double chunk_bytes = 1 << 16;
   double act_bytes = 1 << 20;
 
@@ -81,7 +83,7 @@ struct ProfileReport {
   std::string strategy;
   std::int64_t ranks = 0;
   std::int64_t iters = 0;
-  bool schedule_backed = false;  // executed via sim::run_program
+  bool schedule_backed = false;  // run by the interpreter's timed backend
 
   // Measured over the traced iterations.
   double measured_step_seconds = 0.0;  // mean iteration wall time

@@ -5,13 +5,13 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "sched/wire_tags.hpp"
 
 namespace weipipe::sched {
 
-namespace {
+using namespace wire_tags;
 
-constexpr std::int64_t kTagActBase = 1'000'000;   // + microbatch
-constexpr std::int64_t kTagGradBase = 2'000'000;  // + microbatch
+namespace {
 
 void check_costs(const StrategyCosts& c, std::int64_t chunks) {
   WEIPIPE_CHECK_MSG(c.num_chunks() == chunks, "costs sized for "
@@ -61,6 +61,9 @@ Program build_weipipe(const WeiPipeSchedule& schedule,
   prog.rank_ops.resize(static_cast<std::size_t>(p));
 
   const std::int64_t turns = schedule.total_turns();
+  const auto bytes = [&](std::int64_t c) {
+    return costs.chunk_weight_bytes[static_cast<std::size_t>(c)];
+  };
   for (std::int64_t w = 0; w < p; ++w) {
     auto& ops = prog.rank_ops[static_cast<std::size_t>(w)];
     const int next = static_cast<int>((w + 1) % p);
@@ -69,18 +72,17 @@ Program build_weipipe(const WeiPipeSchedule& schedule,
       const std::int64_t cf = schedule.f_chunk_at(w, t);
       const std::int64_t cb = schedule.b_chunk_at(w, t);
       const TurnActions acts = schedule.actions(w, t);
-      // Weight chunks ship before compute (prefetch overlap: the paper's
-      // batch_isend_irecv posts transfers, then computes). The ablated
-      // variant ships after compute, blocking.
+      const auto send_weights = [&](bool blocking) {
+        ops.push_back(SendOp{next, bytes(cf), kTagF, blocking,
+                             MsgKind::kWeightF, cf});
+        ops.push_back(SendOp{next, bytes(cb), kTagBW, blocking,
+                             MsgKind::kWeightB, cb});
+      };
+      // Weight chunks ship before compute, so the transfer overlaps it (the
+      // paper's communication overlap). The ablated variant ships after
+      // compute, blocking.
       if (prefetch) {
-        ops.push_back(SendOp{next, costs.chunk_weight_bytes[
-                                 static_cast<std::size_t>(cf)],
-                             t * 4 + 0, /*blocking=*/false, MsgKind::kWeightF,
-                             cf});
-        ops.push_back(SendOp{next, costs.chunk_weight_bytes[
-                                 static_cast<std::size_t>(cb)],
-                             t * 4 + 1, /*blocking=*/false, MsgKind::kWeightB,
-                             cb});
+        send_weights(/*blocking=*/false);
       }
       if (acts.fwd) {
         ops.push_back(ComputeOp{
@@ -95,23 +97,14 @@ Program build_weipipe(const WeiPipeSchedule& schedule,
             -costs.act_mem_bytes[static_cast<std::size_t>(acts.bwd->chunk)]});
       }
       if (!prefetch) {
-        ops.push_back(SendOp{next, costs.chunk_weight_bytes[
-                                 static_cast<std::size_t>(cf)],
-                             t * 4 + 0, /*blocking=*/true, MsgKind::kWeightF,
-                             cf});
-        ops.push_back(SendOp{next, costs.chunk_weight_bytes[
-                                 static_cast<std::size_t>(cb)],
-                             t * 4 + 1, /*blocking=*/true, MsgKind::kWeightB,
-                             cb});
+        send_weights(/*blocking=*/true);
       }
       // D leaves only after this worker's contribution is in.
-      ops.push_back(SendOp{next, costs.chunk_weight_bytes[
-                               static_cast<std::size_t>(cb)],
-                           t * 4 + 2, /*blocking=*/false, MsgKind::kGradD,
-                           cb});
-      ops.push_back(RecvOp{prev, t * 4 + 0, MsgKind::kWeightF});
-      ops.push_back(RecvOp{prev, t * 4 + 1, MsgKind::kWeightB});
-      ops.push_back(RecvOp{prev, t * 4 + 2, MsgKind::kGradD});
+      ops.push_back(SendOp{next, bytes(cb), kTagBD, /*blocking=*/false,
+                           MsgKind::kGradD, cb});
+      ops.push_back(RecvOp{prev, kTagF, MsgKind::kWeightF});
+      ops.push_back(RecvOp{prev, kTagBW, MsgKind::kWeightB});
+      ops.push_back(RecvOp{prev, kTagBD, MsgKind::kGradD});
     }
     ops.push_back(ComputeOp{ComputeKind::kOptimizer, -1, -1,
                             costs.optimizer_seconds, 0.0});
@@ -149,12 +142,12 @@ Program build_weipipe_zero_bubble(std::int64_t num_workers,
         ops.push_back(SendOp{next,
                              costs.chunk_weight_bytes[static_cast<std::size_t>(
                                  cf)],
-                             t * 4 + 0, /*blocking=*/false, MsgKind::kWeightF,
+                             kTagF, /*blocking=*/false, MsgKind::kWeightF,
                              cf});
         ops.push_back(SendOp{next,
                              costs.chunk_weight_bytes[static_cast<std::size_t>(
                                  cb)],
-                             t * 4 + 1, /*blocking=*/false, MsgKind::kWeightB,
+                             kTagBW, /*blocking=*/false, MsgKind::kWeightB,
                              cb});
         if (j >= 0 && j < rounds * p) {
           const std::int64_t c = j % p;
@@ -179,7 +172,7 @@ Program build_weipipe_zero_bubble(std::int64_t num_workers,
         ops.push_back(SendOp{next,
                              costs.chunk_weight_bytes[static_cast<std::size_t>(
                                  cd)],
-                             t * 4 + 2, /*blocking=*/false, MsgKind::kGradD,
+                             kTagBD, /*blocking=*/false, MsgKind::kGradD,
                              cd});
         const std::int64_t jw = j - p - 1;
         if (jw >= 0 && jw < rounds * p) {
@@ -189,9 +182,9 @@ Program build_weipipe_zero_bubble(std::int64_t num_workers,
               costs.bwd_weights_seconds[static_cast<std::size_t>(c)],
               -0.5 * costs.act_mem_bytes[static_cast<std::size_t>(c)]});
         }
-        ops.push_back(RecvOp{prev, t * 4 + 0, MsgKind::kWeightF});
-        ops.push_back(RecvOp{prev, t * 4 + 1, MsgKind::kWeightB});
-        ops.push_back(RecvOp{prev, t * 4 + 2, MsgKind::kGradD});
+        ops.push_back(RecvOp{prev, kTagF, MsgKind::kWeightF});
+        ops.push_back(RecvOp{prev, kTagBW, MsgKind::kWeightB});
+        ops.push_back(RecvOp{prev, kTagBD, MsgKind::kGradD});
       }
       ops.push_back(ComputeOp{ComputeKind::kOptimizer, -1, -1,
                               costs.optimizer_seconds, 0.0});
@@ -219,7 +212,7 @@ Program build_weipipe_zero_bubble(std::int64_t num_workers,
       ops.push_back(SendOp{next,
                            costs.chunk_weight_bytes[static_cast<std::size_t>(
                                t % p)],
-                           t * 4 + 0});
+                           kTagRing});
       if (m >= 0 && m < p && k < rounds) {
         ops.push_back(ComputeOp{ComputeKind::kForward, k * p + w, m,
                                 costs.fwd_seconds[static_cast<std::size_t>(m)],
@@ -240,10 +233,9 @@ Program build_weipipe_zero_bubble(std::int64_t num_workers,
       ops.push_back(SendOp{next,
                            costs.chunk_weight_bytes[static_cast<std::size_t>(
                                (t + 1) % p)],
-                           t * 4 + 1});
-      for (int f = 0; f < 2; ++f) {
-        ops.push_back(RecvOp{prev, t * 4 + f});
-      }
+                           kTagRing});
+      ops.push_back(RecvOp{prev, kTagRing});
+      ops.push_back(RecvOp{prev, kTagRing});
     }
     ops.push_back(ComputeOp{ComputeKind::kOptimizer, -1, -1,
                             costs.optimizer_seconds, 0.0});
@@ -259,33 +251,39 @@ void emit_pipeline_forward(Program& prog, const StrategyCosts& costs,
                            std::int64_t p, std::int64_t s, std::int64_t j) {
   auto& ops = prog.rank_ops[static_cast<std::size_t>(s)];
   if (s > 0) {
-    ops.push_back(RecvOp{static_cast<int>(s - 1), kTagActBase + j,
-                         MsgKind::kActivation});
+    ops.push_back(RecvOp{static_cast<int>(s - 1), kTagAct,
+                         MsgKind::kActivation, j});
   }
   ops.push_back(ComputeOp{ComputeKind::kForward, j, s,
                           costs.fwd_seconds[static_cast<std::size_t>(s)],
                           costs.act_mem_bytes[static_cast<std::size_t>(s)]});
   if (s < p - 1) {
-    ops.push_back(SendOp{static_cast<int>(s + 1), costs.act_bytes,
-                         kTagActBase + j, /*blocking=*/true,
-                         MsgKind::kActivation, s});
+    ops.push_back(SendOp{static_cast<int>(s + 1), costs.act_bytes, kTagAct,
+                         /*blocking=*/true, MsgKind::kActivation, s, j});
   }
 }
 
+// `split` emits the zero-bubble B pass (activation gradients only) in place
+// of the fused backward.
 void emit_pipeline_backward(Program& prog, const StrategyCosts& costs,
-                            std::int64_t p, std::int64_t s, std::int64_t j) {
+                            std::int64_t p, std::int64_t s, std::int64_t j,
+                            bool split = false) {
   auto& ops = prog.rank_ops[static_cast<std::size_t>(s)];
+  const auto su = static_cast<std::size_t>(s);
   if (s < p - 1) {
-    ops.push_back(RecvOp{static_cast<int>(s + 1), kTagGradBase + j,
-                         MsgKind::kActGrad});
+    ops.push_back(RecvOp{static_cast<int>(s + 1), kTagGrad,
+                         MsgKind::kActGrad, j});
   }
-  ops.push_back(ComputeOp{ComputeKind::kBackward, j, s,
-                          costs.bwd_seconds[static_cast<std::size_t>(s)],
-                          -costs.act_mem_bytes[static_cast<std::size_t>(s)]});
+  ops.push_back(split ? ComputeOp{ComputeKind::kBackwardActs, j, s,
+                                  costs.bwd_acts_seconds[su],
+                                  -0.5 * costs.act_mem_bytes[su]}
+                      : ComputeOp{ComputeKind::kBackward, j, s,
+                                  costs.bwd_seconds[su],
+                                  -costs.act_mem_bytes[su]});
   if (s > 0) {
     ops.push_back(SendOp{static_cast<int>(s - 1), costs.act_grad_bytes,
-                         kTagGradBase + j, /*blocking=*/true,
-                         MsgKind::kActGrad, s});
+                         kTagGrad, /*blocking=*/true, MsgKind::kActGrad, s,
+                         j});
   }
 }
 
@@ -484,34 +482,10 @@ Program build_zero_bubble(std::int64_t num_stages,
     for (const auto& [kind, j] : plan.order[static_cast<std::size_t>(s)]) {
       switch (kind) {
         case ComputeKind::kForward:
-          if (s > 0) {
-            ops.push_back(RecvOp{static_cast<int>(s - 1), kTagActBase + j,
-                                 MsgKind::kActivation});
-          }
-          ops.push_back(
-              ComputeOp{ComputeKind::kForward, j, s,
-                        costs.fwd_seconds[static_cast<std::size_t>(s)],
-                        costs.act_mem_bytes[static_cast<std::size_t>(s)]});
-          if (s < p - 1) {
-            ops.push_back(SendOp{static_cast<int>(s + 1), costs.act_bytes,
-                                 kTagActBase + j, /*blocking=*/true,
-                                 MsgKind::kActivation, s});
-          }
+          emit_pipeline_forward(prog, costs, p, s, j);
           break;
         case ComputeKind::kBackwardActs:
-          if (s < p - 1) {
-            ops.push_back(RecvOp{static_cast<int>(s + 1), kTagGradBase + j,
-                                 MsgKind::kActGrad});
-          }
-          ops.push_back(ComputeOp{
-              ComputeKind::kBackwardActs, j, s,
-              costs.bwd_acts_seconds[static_cast<std::size_t>(s)],
-              -0.5 * costs.act_mem_bytes[static_cast<std::size_t>(s)]});
-          if (s > 0) {
-            ops.push_back(SendOp{static_cast<int>(s - 1),
-                                 costs.act_grad_bytes, kTagGradBase + j,
-                                 /*blocking=*/true, MsgKind::kActGrad, s});
-          }
+          emit_pipeline_backward(prog, costs, p, s, j, /*split=*/true);
           break;
         case ComputeKind::kBackwardWeights:
           ops.push_back(ComputeOp{

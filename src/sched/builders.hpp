@@ -44,7 +44,8 @@ struct StrategyCosts {
 // weipipe_schedule.hpp. Emits, per worker per turn: weight-chunk sends (F and
 // B flows), forward/backward computes, the D send, and the three receives.
 // `prefetch=false` ablates the paper's communication overlap: weight sends
-// move after the computes and block the sender (no batch_isend_irecv).
+// move after the computes and block the sender, so nothing is in flight
+// while the worker computes.
 Program build_weipipe(const WeiPipeSchedule& schedule,
                       const StrategyCosts& costs, bool prefetch = true);
 

@@ -1,10 +1,12 @@
 // Strategy-neutral schedule IR.
 //
 // A Program is one ordered op list per rank. The discrete-event engine
-// (sim/engine.hpp) executes it against a cost model + topology; the trace
-// module renders it as a timeline. Builders in sched/builders.hpp emit
-// programs for every strategy in the paper (WeiPipe-Naive/-Interleave,
-// WZB1/WZB2, GPipe, 1F1B, ZB1, ZB2, FSDP).
+// (sim/engine.hpp) executes it against a cost model + topology; the
+// interpreter (core/execute.hpp) runs it on the fabric, with real math or
+// timed busy-waits; the trace module renders it as a timeline. Builders in
+// sched/builders.hpp emit programs for every strategy in the paper
+// (WeiPipe-Naive/-Interleave, WZB1/WZB2, GPipe, 1F1B, ZB1, ZB2, FSDP), on
+// the tags of sched/wire_tags.hpp.
 //
 // Semantics:
 //  * ops on a rank execute in list order;
@@ -76,6 +78,9 @@ struct SendOp {
   // chunk it is (for weight/gradient kinds; -1 = not chunk-identified).
   MsgKind kind = MsgKind::kOpaque;
   std::int64_t chunk = -1;
+  // Activation kinds: the microbatch whose activations (or gradients) ride
+  // the wire; -1 for every other kind.
+  std::int64_t microbatch = -1;
 };
 
 struct RecvOp {
@@ -86,6 +91,9 @@ struct RecvOp {
   // fit) but is exactly what the static weight-version check catches by
   // comparing this against the matched send's annotation.
   MsgKind kind = MsgKind::kOpaque;
+  // Activation kinds: the microbatch the receiver files the payload under;
+  // the analyzer checks it against the matched send's.
+  std::int64_t microbatch = -1;
 };
 
 // Asynchronous bulk transfer on the rank's comm channel (collective share).

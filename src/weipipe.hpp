@@ -7,6 +7,7 @@
 //   common/  -> tensor/ -> nn/  -> core/, baselines/
 //   common/  -> comm/   -> core/, baselines/
 //   common/  -> sched/  -> sim/ -> trace/ -> prof/
+//   common/  -> sched/  -> analysis/ -> core/ (trainers run proven programs)
 #pragma once
 
 // Foundations
@@ -43,6 +44,7 @@
 #include "baselines/fsdp_trainer.hpp"
 #include "baselines/pipeline_trainer.hpp"
 #include "core/accounting.hpp"
+#include "core/execute.hpp"
 #include "core/shard_store.hpp"
 #include "core/resilience.hpp"
 #include "core/sequential_trainer.hpp"
@@ -55,6 +57,7 @@
 #include "sched/program.hpp"
 #include "sched/validate.hpp"
 #include "sched/weipipe_schedule.hpp"
+#include "sched/wire_tags.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"

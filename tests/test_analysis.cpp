@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "analysis/analysis.hpp"
+#include "common/check.hpp"
+#include "core/execute.hpp"
 #include "sched/builders.hpp"
 #include "sched/validate.hpp"
 #include "sched/weipipe_schedule.hpp"
@@ -187,24 +189,33 @@ TEST(AnalysisDeadlock, TwoRankCycleReportedWithWitness) {
 }
 
 TEST(AnalysisDeadlock, ReorderedRingRecvDeadlocks) {
-  // Mutation: swap rank 0's first and last recvs in the interleave ring.
-  // (Swapping *adjacent* recvs is absorbed by the one-turn prefetch slack —
-  // the analyzer correctly stays quiet for that.) Demanding the final turn's
-  // message before turn 0 completes forces the wait chain all the way around
-  // the ring and back through rank 0's own not-yet-reached sends: a provable
+  // Mutation: rank 0 takes all of its D-grad receipts first, in the slots
+  // its recvs occupy in the interleave ring. Messages of one class are
+  // matched FIFO on an edge, so reordering recvs within a class changes
+  // nothing, and a one-turn lead is absorbed by the prefetch slack (the
+  // analyzer correctly stays quiet for those). Pulling a whole class ahead
+  // is not absorbed: by its second turn rank 0 demands a D chunk its
+  // predecessor ships turns later, which needs rank 0's own not-yet-reached
+  // sends. The wait chain runs all the way around the ring: a provable
   // circular wait, reported with the cycle as witness.
   Program prog = sched::build_weipipe(
       WeiPipeSchedule(4, 1, WeiPipeMode::kInterleave), unit_costs(4));
   auto& ops = prog.rank_ops[0];
   std::vector<std::size_t> recv_at;
+  std::vector<RecvOp> recvs;
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (std::holds_alternative<RecvOp>(ops[i])) {
+    if (const auto* r = std::get_if<RecvOp>(&ops[i])) {
       recv_at.push_back(i);
+      recvs.push_back(*r);
     }
   }
   ASSERT_GE(recv_at.size(), 4u);
-  std::swap(std::get<RecvOp>(ops[recv_at.front()]),
-            std::get<RecvOp>(ops[recv_at.back()]));
+  std::stable_partition(recvs.begin(), recvs.end(), [](const RecvOp& r) {
+    return r.kind == MsgKind::kGradD;
+  });
+  for (std::size_t k = 0; k < recv_at.size(); ++k) {
+    ops[recv_at[k]] = recvs[k];
+  }
 
   const AnalysisReport report = analysis::analyze(prog);
   EXPECT_TRUE(report.deadlocked) << dump(report);
@@ -220,10 +231,10 @@ TEST(AnalysisDeadlock, ReorderedRingRecvDeadlocks) {
 
 // ---- Injected bug 2: crossed tags --------------------------------------------
 
-TEST(AnalysisTags, SwappedSendTagsReported) {
-  // Mutation: rank 0's first F-weight and B-weight sends swap tags. The
-  // bytes still flow and nothing deadlocks — at runtime the B shard lands
-  // silently in the neighbor's F buffer. Statically: kTagMismatch.
+// Mutation: rank 0's first F-weight and B-weight sends swap tags. The
+// bytes still flow and nothing deadlocks — at runtime the B shard lands
+// silently in the neighbor's F buffer. Statically: kTagMismatch.
+Program swapped_tag_program() {
   Program prog = sched::build_weipipe(
       WeiPipeSchedule(4, 2, WeiPipeMode::kInterleave), unit_costs(4));
   auto& ops = prog.rank_ops[0];
@@ -241,10 +252,16 @@ TEST(AnalysisTags, SwappedSendTagsReported) {
       break;
     }
   }
-  ASSERT_NE(f_send, nullptr);
-  ASSERT_NE(b_send, nullptr);
-  std::swap(f_send->tag, b_send->tag);
+  EXPECT_NE(f_send, nullptr);
+  EXPECT_NE(b_send, nullptr);
+  if (f_send && b_send) {
+    std::swap(f_send->tag, b_send->tag);
+  }
+  return prog;
+}
 
+TEST(AnalysisTags, SwappedSendTagsReported) {
+  const Program prog = swapped_tag_program();
   const AnalysisReport report = analysis::analyze(prog);
   ASSERT_TRUE(has_kind(report, FindingKind::kTagMismatch)) << dump(report);
   const auto it = std::find_if(report.findings.begin(), report.findings.end(),
@@ -253,6 +270,39 @@ TEST(AnalysisTags, SwappedSendTagsReported) {
                                });
   EXPECT_GE(it->witness.size(), 2u);  // the recv and the matched send
   EXPECT_NE(it->message.find("tags are crossed"), std::string::npos);
+}
+
+TEST(AnalysisTags, InterpretedTrainersRefuseTheSwappedFixture) {
+  // The check every interpreted trainer runs on its program at
+  // construction: the unmodified program passes, the mutant throws.
+  EXPECT_NO_THROW(exec::require_proven(sched::build_weipipe(
+      WeiPipeSchedule(4, 2, WeiPipeMode::kInterleave), unit_costs(4))));
+  try {
+    exec::require_proven(swapped_tag_program());
+    ADD_FAILURE() << "the swapped-tag program was not refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("tags are crossed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AnalysisTags, CrossedActivationMicrobatchesReported) {
+  // Two activations on one edge, filed under each other's microbatch: the
+  // kinds agree, so only the microbatch comparison can see it.
+  Program prog;
+  prog.name = "crossed-acts";
+  prog.rank_ops.resize(2);
+  prog.rank_ops[0] = {SendOp{1, 8.0, 20, true, MsgKind::kActivation, 0, 0},
+                      SendOp{1, 8.0, 20, true, MsgKind::kActivation, 0, 1}};
+  prog.rank_ops[1] = {RecvOp{0, 20, MsgKind::kActivation, 1},
+                      RecvOp{0, 20, MsgKind::kActivation, 0}};
+  const AnalysisReport report = analysis::analyze(prog);
+  std::size_t mismatches = 0;
+  for (const Finding& f : report.findings) {
+    mismatches += f.kind == FindingKind::kTagMismatch;
+  }
+  EXPECT_EQ(mismatches, 2u) << dump(report);
 }
 
 TEST(AnalysisTags, HandmadeKindDisagreement) {

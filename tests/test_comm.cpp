@@ -80,17 +80,6 @@ TEST(Fabric, TagsIsolateStreams) {
   EXPECT_EQ(fabric.endpoint(0).recv(1, 2)[0], 22);
 }
 
-TEST(Fabric, IrecvCompletesAfterWait) {
-  Fabric fabric(2);
-  std::vector<std::uint8_t> out;
-  Request req = fabric.endpoint(0).irecv(1, 3, &out);
-  EXPECT_TRUE(req.valid());
-  fabric.endpoint(1).send(0, 3, {42});
-  req.wait();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], 42);
-}
-
 TEST(Fabric, SelfSendRejected) {
   Fabric fabric(2);
   EXPECT_THROW(fabric.endpoint(0).send(0, 1, {1}), Error);
@@ -156,47 +145,6 @@ TEST(RunWorkers, PropagatesFirstException) {
                              }
                            }),
                Error);
-}
-
-TEST(Fabric, IrecvFloatsUnpacksOnWait) {
-  Fabric fabric(2);
-  std::vector<float> out(3, 0.0f);
-  Request req = fabric.endpoint(0).irecv_floats(
-      1, 5, std::span<float>(out.data(), out.size()), WirePrecision::Fp16);
-  std::vector<float> values = {1.0f, -2.0f, 0.5f};
-  fabric.endpoint(1).send_floats(0, 5, values, WirePrecision::Fp16);
-  req.wait();
-  EXPECT_EQ(out, values);  // exactly representable in fp16
-}
-
-TEST(Fabric, BatchIsendIrecvRoundTrip) {
-  Fabric fabric(3);
-  std::vector<std::vector<float>> got(3);
-  run_workers(fabric, [&](int rank, Endpoint& ep) {
-    const int next = (rank + 1) % 3;
-    const int prev = (rank + 2) % 3;
-    std::vector<float> payload = {static_cast<float>(rank),
-                                  static_cast<float>(rank * 2)};
-    std::vector<float> inbox(2);
-    const SendSpec sends[] = {
-        {next, 9, std::span<const float>(payload.data(), payload.size()),
-         WirePrecision::Fp32}};
-    const RecvSpec recvs[] = {
-        {prev, 9, std::span<float>(inbox.data(), inbox.size()),
-         WirePrecision::Fp32}};
-    auto reqs = batch_isend_irecv(ep, sends, recvs);
-    for (Request& r : reqs) {
-      r.wait();
-    }
-    got[static_cast<std::size_t>(rank)] = inbox;
-  });
-  for (int rank = 0; rank < 3; ++rank) {
-    const int prev = (rank + 2) % 3;
-    EXPECT_EQ(got[static_cast<std::size_t>(rank)][0],
-              static_cast<float>(prev));
-    EXPECT_EQ(got[static_cast<std::size_t>(rank)][1],
-              static_cast<float>(prev * 2));
-  }
 }
 
 TEST(Collectives, ScalarAllReduceSumsDeterministically) {
@@ -705,17 +653,6 @@ TEST(ZeroCopy, BufferSendDeliversTheSameBytesWithoutCopying) {
   for (std::size_t i = 0; i < got.size(); i += 4097) {
     ASSERT_EQ(got.data()[i], static_cast<std::uint8_t>(i * 131u));
   }
-}
-
-TEST(ZeroCopy, IrecvBufferAlsoAliasesTheSenderStorage) {
-  Fabric fabric(2);
-  Buffer payload = Buffer::allocate(4096);
-  const std::uint8_t* sent_storage = payload.data();
-  fabric.endpoint(0).send(1, 3, std::move(payload));
-  Buffer got;
-  Request req = fabric.endpoint(1).irecv_buffer(0, 3, &got);
-  req.wait();
-  EXPECT_EQ(got.data(), sent_storage);
 }
 
 TEST(ZeroCopy, DuplicateFaultSharesThePayloadStorage) {

@@ -606,8 +606,8 @@ TEST(Profile, Wzb2MeasuredPeakWithinStaticBoundAndTraceParses) {
   EXPECT_GT(report.max_in_flight, 0u);
 
   // Satellite invariant: runtime-measured peak activation bytes never exceed
-  // the analyzer's static bound (the runner follows the program's memory
-  // algebra, so this is exact equality up to rounding).
+  // the analyzer's static bound (the timed backend follows the program's
+  // memory algebra, so this is exact equality up to rounding).
   ASSERT_GE(report.static_peak_bound_bytes, 0.0);
   EXPECT_LE(report.measured_peak_act_bytes,
             report.static_peak_bound_bytes + 0.5);
@@ -657,6 +657,40 @@ TEST(Profile, Wzb2MeasuredPeakWithinStaticBoundAndTraceParses) {
   }
   EXPECT_FALSE(starts.empty());
   EXPECT_EQ(starts, ends);
+}
+
+// Exposed wire in a schedule-only profile is labelled through the wire-tag
+// registry the builders emit (sched/wire_tags.hpp): a weight-passing ring
+// exposes only its weight and gradient flows, an activation pipeline only
+// activations and their gradients.
+TEST(Profile, ScheduleBackedExposedWireCarriesTheBuildersKinds) {
+  const auto exposed_kinds = [](const std::string& strategy) {
+    prof::ProfileOptions options;
+    options.strategy = strategy;
+    options.workers = 4;
+    options.iters = 2;
+    options.warmup_iters = 0;
+    options.unit_seconds = 3e-3;
+    const prof::ProfileReport report = prof::run_profile(options);
+    std::set<std::string> kinds;
+    for (const obs::StepAnatomy& a : report.anatomy) {
+      for (const obs::WireExposure& w : a.wire) {
+        kinds.insert(w.kind);
+      }
+    }
+    return kinds;
+  };
+  const std::set<std::string> ring = exposed_kinds("interleave");
+  EXPECT_FALSE(ring.empty());
+  for (const std::string& kind : ring) {
+    EXPECT_TRUE(kind == "F-weight" || kind == "B-weight" || kind == "D-grad")
+        << kind;
+  }
+  const std::set<std::string> pipeline = exposed_kinds("zb1");
+  EXPECT_FALSE(pipeline.empty());
+  for (const std::string& kind : pipeline) {
+    EXPECT_TRUE(kind == "activation" || kind == "act-grad") << kind;
+  }
 }
 
 TEST(Profile, TrainerBackedWeiPipeMeasuredPeakWithinDerivedBound) {

@@ -1251,7 +1251,13 @@ COMMANDS
     --strategy naive|interleave|no-prefetch|wzb1|wzb2|gpipe|1f1b|zb1|zb2|fsdp
     --workers P --rounds R --bwd-ratio f --width n --csv PATH --svg PATH
   analyze    statically model-check a schedule (deadlock cycles,
-             weight-version consistency, peak-memory bounds)
+             weight-version consistency, peak-memory bounds). The
+             naive, interleave, no-prefetch, gpipe and 1f1b programs are
+             the turns and stage loops the weipipe-naive, weipipe (with
+             and without prefetch), gpipe and 1f1b trainers execute, and
+             each trainer re-proves its own program when it is built; the
+             redistribution before the turns, the update after them and
+             fsdp's collectives are trainer code the proof does not cover
     --strategy all|naive|interleave|no-prefetch|wzb1|wzb2|gpipe|1f1b|zb1|zb2|fsdp
     --workers P --rounds R --bwd-ratio f
   profile    run a strategy on the real engine with tracing on; report
