@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "comm/collectives.hpp"
 #include "comm/fabric.hpp"
 #include "comm/wire.hpp"
 #include "kernels_json.hpp"
@@ -52,30 +51,6 @@ void BM_PingPong(benchmark::State& state) {
                           8);
 }
 BENCHMARK(BM_PingPong)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_RingAllReduce(benchmark::State& state) {
-  const int p = 4;
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    Fabric fabric(p);
-    std::vector<std::thread> threads;
-    for (int r = 0; r < p; ++r) {
-      threads.emplace_back([&, r] {
-        std::vector<float> buf(n, static_cast<float>(r));
-        ring_all_reduce(fabric.endpoint(r),
-                        std::span<float>(buf.data(), buf.size()),
-                        WirePrecision::Fp32);
-        benchmark::DoNotOptimize(buf.data());
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n) *
-                          4 * p);
-}
-BENCHMARK(BM_RingAllReduce)->Arg(1 << 12)->Arg(1 << 16);
 
 // ---- --kernels_json mode ----------------------------------------------------
 

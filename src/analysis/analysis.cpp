@@ -65,6 +65,12 @@ struct RankExec {
   std::vector<std::pair<std::int64_t, std::int64_t>> pending_bw;  // (chunk, op)
 };
 
+// The chunk a rank owns, as its optimizer op declares it (-1: undeclared).
+struct Owned {
+  std::int64_t chunk = -1;
+  std::int64_t op = -1;
+};
+
 struct CoverageCell {
   std::vector<OpRef> fwd, bwd, bwd_acts, bwd_weights;
 };
@@ -87,7 +93,7 @@ class Analyzer {
       // findings already explain the program.
       return std::move(report_);
     }
-    index_sends();
+    index_ops();
     execute();
     if (opts_.check_coverage && !report_.deadlocked) {
       check_coverage();
@@ -167,13 +173,18 @@ class Analyzer {
     }
   }
 
-  void index_sends() {
+  // Indexes every rank's sends by channel, and its optimizer op.
+  void index_ops() {
+    owned_.assign(prog_.rank_ops.size(), Owned{});
     for (int r = 0; r < prog_.num_ranks(); ++r) {
       const auto& ops = prog_.rank_ops[static_cast<std::size_t>(r)];
       for (std::size_t i = 0; i < ops.size(); ++i) {
+        const auto at = static_cast<std::int64_t>(i);
         if (const auto* s = std::get_if<sched::SendOp>(&ops[i])) {
-          send_index_[ChannelKey{r, s->dst, s->tag}].push_back(
-              static_cast<std::int64_t>(i));
+          send_index_[ChannelKey{r, s->dst, s->tag}].push_back(at);
+        } else if (const auto* c = std::get_if<sched::ComputeOp>(&ops[i]);
+                   c && c->kind == sched::ComputeKind::kOptimizer) {
+          owned_[static_cast<std::size_t>(r)] = Owned{c->chunk, at};
         }
       }
     }
@@ -262,7 +273,37 @@ class Analyzer {
         }
         break;
       }
+      case sched::ComputeKind::kOptimizer:
+        // The update steps the owned chunk with the gradient the rank holds.
+        require_slot(r, re, 2, c.chunk);
+        break;
       default: break;
+    }
+  }
+
+  // Only a chunk's owner holds its master: it alone injects it, and in a
+  // program that declares owners a weight flow used before any receipt
+  // starts from the rank's own master.
+  void require_owner(int r, RankExec& re, std::int64_t chunk,
+                     const std::string& what) {
+    const Owned& own = owned_[static_cast<std::size_t>(r)];
+    if (own.chunk == chunk) {
+      return;
+    }
+    std::ostringstream oss;
+    oss << locate_op(prog_, r, re.op_index) << " " << what << " chunk "
+        << chunk << " but rank " << r << " owns chunk " << own.chunk;
+    add(FindingKind::kWeightVersion, oss.str(),
+        {make_ref(prog_, r, re.op_index, "the op"),
+         make_ref(prog_, r, own.op, "the rank's optimizer op")});
+  }
+
+  void check_initial_holding(int r, RankExec& re, int idx,
+                             std::int64_t chunk) {
+    const Owned& own = owned_[static_cast<std::size_t>(r)];
+    if (idx < 2 && chunk >= 0 && own.chunk >= 0) {
+      require_owner(r, re, chunk,
+                    std::string("starts, unreceived, ") + kSlotName[idx]);
     }
   }
 
@@ -273,6 +314,7 @@ class Analyzer {
       // chunk at iteration start (non-prefetch variants compute before the
       // opening send). Like the first-send rule, this defines the initial
       // holding; all later uses are checked against it.
+      check_initial_holding(r, re, idx, chunk);
       slot.known = true;
       slot.chunk = chunk;
       slot.prov_rank = r;
@@ -294,11 +336,14 @@ class Analyzer {
   void on_send(int r, RankExec& re, const sched::SendOp& s) {
     Carried carried{s.kind, s.chunk, s.microbatch, r, re.op_index};
     const int idx = slot_index(s.kind);
-    if (idx >= 0 && checking_versions()) {
+    if (s.master && checking_versions()) {
+      require_owner(r, re, s.chunk, "injects the master of");
+    } else if (idx >= 0 && checking_versions()) {
       Slot& slot = re.slots[idx];
       if (!slot.known) {
         // First send of this flow before any receipt: the rank held the
         // chunk at iteration start — that defines the initial holding.
+        check_initial_holding(r, re, idx, s.chunk);
         slot.known = true;
         slot.chunk = s.chunk;
         slot.wildcard = s.chunk < 0;
@@ -384,6 +429,20 @@ class Analyzer {
         slot_index(rc.kind != MsgKind::kOpaque ? rc.kind : carried.kind);
     if (idx >= 0 && checking_versions()) {
       Slot& slot = re.slots[idx];
+      if (rc.accumulate && !(slot.known && (slot.wildcard ||
+                                            carried.chunk < 0 ||
+                                            slot.chunk == carried.chunk))) {
+        std::ostringstream oss;
+        oss << locate_op(prog_, r, re.op_index) << " adds "
+            << kSlotName[idx] << " chunk " << carried.chunk << " into rank "
+            << r << "'s, which holds chunk " << slot.chunk;
+        add(FindingKind::kGradAccumulation, oss.str(),
+            {make_ref(prog_, r, re.op_index, "the recv"),
+             make_ref(prog_, carried.src_rank, carried.src_op,
+                      "the matched send"),
+             make_ref(prog_, slot.prov_rank, slot.prov_op,
+                      "shard held since")});
+      }
       slot.known = true;
       slot.wildcard = carried.chunk < 0;
       slot.chunk = carried.chunk;
@@ -526,6 +585,7 @@ class Analyzer {
   AnalysisReport report_;
 
   std::vector<RankExec> ranks_;
+  std::vector<Owned> owned_;  // [rank]
   std::map<ChannelKey, std::queue<Carried>> inbox_;
   std::map<ChannelKey, std::size_t> consumed_;
   std::map<ChannelKey, std::vector<std::int64_t>> send_index_;

@@ -22,7 +22,11 @@
 //     actually holds, and that matched send/recv pairs agree on payload
 //     kind and, for activations, on microbatch (a swapped tag lands a
 //     B-flow weight in the F buffer — invisible at runtime, a tag-mismatch
-//     finding here).
+//     finding here). Where the optimizer ops name the chunk each rank owns
+//     (the whole-step programs), a master injection must come from the
+//     chunk's owner, a flow used before any receipt must be the owned chunk
+//     (it starts from the rank's master), an accumulating receive must add
+//     into the D chunk already held, and the update needs the owned D.
 //
 //  3. Memory bound. mem_delta only changes on a rank's own compute ops and
 //     ops on one rank are totally ordered, so the per-rank peak — the max

@@ -45,6 +45,9 @@ std::string describe_op(const sched::Program& program, int rank,
     if (s->microbatch >= 0) {
       oss << " m=" << s->microbatch;
     }
+    if (s->master) {
+      oss << ", master";
+    }
     if (s->blocking) {
       oss << ", blocking";
     }
@@ -56,6 +59,9 @@ std::string describe_op(const sched::Program& program, int rank,
     }
     if (rc->microbatch >= 0) {
       oss << " m=" << rc->microbatch;
+    }
+    if (rc->accumulate) {
+      oss << ", accumulate";
     }
     oss << ")";
   } else if (const auto* cs = std::get_if<sched::CollectiveStartOp>(&op)) {

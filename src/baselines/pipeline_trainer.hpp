@@ -5,8 +5,9 @@
 // through stages; activations (wire precision cfg.precision.activations) and
 // activation gradients (.activation_grads) cross the fabric — the volumes
 // that blow up with G*S*H and motivate WeiPipe. Each stage runs its rank of
-// sched::build_gpipe / build_1f1b on the schedule interpreter
-// (core/execute.hpp), after the analyzer has proven the program.
+// sched::build_gpipe / build_1f1b (plus, when clipping, the norm chain of
+// sched::append_clip_chain) on the schedule interpreter (core/execute.hpp),
+// after the analyzer has proven the program.
 #pragma once
 
 #include <memory>
@@ -40,6 +41,8 @@ class PipelineTrainer final : public Trainer {
                                   std::int64_t iter_index) override;
 
   comm::Fabric* fabric() override { return fabric_.get(); }
+  // The program every stage interprets.
+  const sched::Program& program() const { return program_; }
 
  private:
   TrainConfig cfg_;

@@ -26,115 +26,6 @@ int mod(int a, int m) { return ((a % m) + m) % m; }
     collective_span_.set_label(label_literal);        \
   }
 
-void ring_all_gather(Endpoint& ep, std::span<const float> shard,
-                     std::span<float> full, WirePrecision precision,
-                     std::int64_t tag_base) {
-  WEIPIPE_COLLECTIVE_SPAN(obs::SpanKind::kCollective, "all_gather");
-  const int p = ep.world_size();
-  const int r = ep.rank();
-  const std::size_t n = shard.size();
-  WEIPIPE_CHECK_MSG(full.size() == n * static_cast<std::size_t>(p),
-                    "all_gather size mismatch");
-  // Place own shard (unless aliased in place already).
-  if (full.data() + static_cast<std::size_t>(r) * n != shard.data()) {
-    std::memcpy(full.data() + static_cast<std::size_t>(r) * n, shard.data(),
-                n * sizeof(float));
-  }
-  if (p == 1) {
-    return;
-  }
-  // Step s: send the shard originally owned by rank (r - s) mod p; receive
-  // the shard owned by (r - s - 1) mod p. After p-1 steps all shards present.
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_owner = mod(r - s, p);
-    const int recv_owner = mod(r - s - 1, p);
-    std::span<const float> send_chunk(
-        full.data() + static_cast<std::size_t>(send_owner) * n, n);
-    ep.send_floats(ring_next(r, p), tag_base + s, send_chunk, precision);
-    std::span<float> recv_chunk(
-        full.data() + static_cast<std::size_t>(recv_owner) * n, n);
-    ep.recv_floats(ring_prev(r, p), tag_base + s, recv_chunk, precision);
-  }
-}
-
-void ring_reduce_scatter(Endpoint& ep, std::span<const float> full,
-                         std::span<float> shard_out, WirePrecision precision,
-                         std::int64_t tag_base) {
-  WEIPIPE_COLLECTIVE_SPAN(obs::SpanKind::kCollective, "reduce_scatter");
-  const int p = ep.world_size();
-  const int r = ep.rank();
-  const std::size_t n = shard_out.size();
-  WEIPIPE_CHECK_MSG(full.size() == n * static_cast<std::size_t>(p),
-                    "reduce_scatter size mismatch");
-  if (p == 1) {
-    std::memcpy(shard_out.data(), full.data(), n * sizeof(float));
-    return;
-  }
-  // acc holds the in-flight partial sum this rank forwards.
-  std::vector<float> acc(n);
-  std::vector<float> incoming(n);
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_chunk = mod(r - s - 1, p);
-    if (s == 0) {
-      std::memcpy(acc.data(),
-                  full.data() + static_cast<std::size_t>(send_chunk) * n,
-                  n * sizeof(float));
-    }
-    ep.send_floats(ring_next(r, p), tag_base + s,
-                   std::span<const float>(acc.data(), n), precision);
-    const int recv_chunk = mod(r - s - 2, p);
-    ep.recv_floats(ring_prev(r, p), tag_base + s,
-                   std::span<float>(incoming.data(), n), precision);
-    const float* local = full.data() + static_cast<std::size_t>(recv_chunk) * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = incoming[i] + local[i];
-    }
-  }
-  std::memcpy(shard_out.data(), acc.data(), n * sizeof(float));
-}
-
-void ring_all_reduce(Endpoint& ep, std::span<float> buffer,
-                     WirePrecision precision, std::int64_t tag_base) {
-  WEIPIPE_COLLECTIVE_SPAN(obs::SpanKind::kCollective, "all_reduce");
-  const int p = ep.world_size();
-  if (p == 1) {
-    return;
-  }
-  WEIPIPE_CHECK_MSG(buffer.size() % static_cast<std::size_t>(p) == 0,
-                    "all_reduce buffer not divisible by world size");
-  const std::size_t n = buffer.size() / static_cast<std::size_t>(p);
-  const int r = ep.rank();
-  std::vector<float> shard(n);
-  ring_reduce_scatter(ep, buffer, shard, precision, tag_base);
-  std::memcpy(buffer.data() + static_cast<std::size_t>(r) * n, shard.data(),
-              n * sizeof(float));
-  ring_all_gather(ep,
-                  std::span<const float>(
-                      buffer.data() + static_cast<std::size_t>(r) * n, n),
-                  buffer, precision, tag_base + p);
-}
-
-void barrier(Endpoint& ep, std::int64_t tag_base) {
-  WEIPIPE_COLLECTIVE_SPAN(obs::SpanKind::kBarrier, "barrier");
-  const int p = ep.world_size();
-  if (p == 1) {
-    return;
-  }
-  const int r = ep.rank();
-  std::vector<std::uint8_t> token(1, 0xAB);
-  // Two ring passes: after the second, every rank knows every rank entered.
-  for (int pass = 0; pass < 2; ++pass) {
-    const std::int64_t tag = tag_base + pass;
-    if (r == 0) {
-      ep.send(ring_next(r, p), tag, token);
-      (void)ep.recv(ring_prev(r, p), tag);
-    } else {
-      (void)ep.recv(ring_prev(r, p), tag);
-      ep.send(ring_next(r, p), tag, token);
-    }
-  }
-}
-
 void ring_broadcast(Endpoint& ep, int root, std::span<float> buffer,
                     WirePrecision precision, std::int64_t tag_base) {
   WEIPIPE_COLLECTIVE_SPAN(obs::SpanKind::kCollective, "broadcast");

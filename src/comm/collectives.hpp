@@ -1,8 +1,10 @@
-// Ring collectives built on the P2P fabric — the substrate for the FSDP
-// (ZeRO-3-style) baseline. NCCL's default ring algorithms are what the paper's
-// experiments exercise ("tree algorithms were not adopted"), so byte counts
-// here match the paper's analysis: all-gather and reduce-scatter each move
-// (P-1)/P of the full buffer per rank.
+// Ring collectives built on the P2P fabric, for the FSDP (ZeRO-3-style)
+// baseline: its weight gathers (ring_broadcast), its gradient reduction
+// (ring_reduce_to_root) and its clip norm (ring_all_reduce_scalar). The
+// pipeline and WeiPipe trainers run their chains as schedule-program ops
+// instead (sched::build_weipipe_step, sched::append_clip_chain). NCCL's
+// default ring algorithms are what the paper's experiments exercise ("tree
+// algorithms were not adopted").
 //
 // SPMD usage: every rank calls the same collective with the same sizes; calls
 // must not interleave different collectives on the same tag_base.
@@ -18,31 +20,10 @@ namespace weipipe::comm {
 // Reserved tag blocks: point-to-point user tags must stay below this.
 inline constexpr std::int64_t kCollectiveTagBase = 1'000'000'000;
 
-// Gathers each rank's shard into `full` (size = world * shard.size()).
-// Rank r's shard lands at offset r * shard.size(). `shard` may alias the
-// corresponding region of `full`.
-void ring_all_gather(Endpoint& ep, std::span<const float> shard,
-                     std::span<float> full, WirePrecision precision,
-                     std::int64_t tag_base = kCollectiveTagBase);
-
-// Reduce-scatter with summation: `full` (size = world * shard_out.size())
-// contributes from every rank; rank r receives the reduced r-th shard.
-void ring_reduce_scatter(Endpoint& ep, std::span<const float> full,
-                         std::span<float> shard_out, WirePrecision precision,
-                         std::int64_t tag_base = kCollectiveTagBase + 1'000);
-
-// All-reduce (sum) = reduce-scatter + all-gather, the classic ring algorithm.
-// Buffer size must be divisible by world size.
-void ring_all_reduce(Endpoint& ep, std::span<float> buffer,
-                     WirePrecision precision,
-                     std::int64_t tag_base = kCollectiveTagBase + 2'000);
-
-// Rendezvous of all ranks.
-void barrier(Endpoint& ep, std::int64_t tag_base = kCollectiveTagBase + 3'000);
-
 // Sum of one double across all ranks, returned on every rank. Accumulates in
-// rank order on rank 0, then chain-broadcasts — deterministic association,
-// used by global-norm gradient clipping.
+// rank order toward the highest rank, then chain-broadcasts back —
+// deterministic association, used by global-norm gradient clipping. The
+// default tags are wire_tags::kTagClipUp / kTagClipDown.
 double ring_all_reduce_scalar(Endpoint& ep, double value,
                               std::int64_t tag_base = kCollectiveTagBase +
                                                       6'000);

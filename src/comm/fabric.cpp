@@ -128,32 +128,6 @@ void Endpoint::recv_floats(int src, std::int64_t tag, std::span<float> out,
   unpack_floats(taken.payload.span(), precision, out);
 }
 
-FabricStats Endpoint::sent_stats() const {
-  FabricStats total;
-  const int p = fabric_->world_size();
-  for (int dst = 0; dst < p; ++dst) {
-    const FabricStats s = fabric_->pair_stats(rank_, dst);
-    total.messages += s.messages;
-    total.bytes += s.bytes;
-    total.in_flight += s.in_flight;
-    total.max_in_flight = std::max(total.max_in_flight, s.max_in_flight);
-  }
-  return total;
-}
-
-FabricStats Endpoint::received_stats() const {
-  FabricStats total;
-  const int p = fabric_->world_size();
-  for (int src = 0; src < p; ++src) {
-    const FabricStats s = fabric_->pair_stats(src, rank_);
-    total.messages += s.messages;
-    total.bytes += s.bytes;
-    total.in_flight += s.in_flight;
-    total.max_in_flight = std::max(total.max_in_flight, s.max_in_flight);
-  }
-  return total;
-}
-
 Fabric::Fabric(int world_size, LinkModel link_model)
     : Fabric(world_size, std::move(link_model), default_transport_spec()) {}
 
@@ -324,13 +298,6 @@ void Fabric::install_fault_plan(const FaultPlan& plan) {
     runtime->fired.push_back(std::make_unique<std::atomic<bool>>(false));
   }
   faults_ = std::move(runtime);
-}
-
-void Fabric::clear_fault_plan() { faults_.reset(); }
-
-const FaultPlan& Fabric::fault_plan() const {
-  WEIPIPE_CHECK_MSG(faults_ != nullptr, "no fault plan installed");
-  return faults_->plan;
 }
 
 FaultStats Fabric::fault_stats() const {

@@ -105,9 +105,6 @@ class Endpoint {
   void recv_floats(int src, std::int64_t tag, std::span<float> out,
                    WirePrecision precision);
 
-  FabricStats sent_stats() const;
-  FabricStats received_stats() const;
-
  private:
   friend class Fabric;
   Endpoint(Fabric* fabric, int rank) : fabric_(fabric), rank_(rank) {}
@@ -174,9 +171,7 @@ class Fabric {
   // running): worker threads read the plan without locks, relying on the
   // happens-before edges of thread creation/join.
   void install_fault_plan(const FaultPlan& plan);
-  void clear_fault_plan();
   bool has_fault_plan() const { return faults_ != nullptr; }
-  const FaultPlan& fault_plan() const;
   FaultStats fault_stats() const;
   // All injected faults so far, in the deterministic fault_event_less order.
   std::vector<FaultEvent> fault_events() const;

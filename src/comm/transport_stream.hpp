@@ -106,8 +106,6 @@ class FrameReader {
     return true;
   }
 
-  bool mid_frame() const { return !in_header_ || filled_ > 0; }
-
  private:
   bool in_header_ = true;
   std::size_t filled_ = 0;

@@ -115,12 +115,6 @@ class Float16 {
   Float16() = default;
   explicit Float16(float f) : bits_(detail::f32_to_f16_bits(f)) {}
 
-  static Float16 from_bits(std::uint16_t bits) {
-    Float16 h;
-    h.bits_ = bits;
-    return h;
-  }
-
   float to_float() const { return detail::f16_bits_to_f32(bits_); }
   explicit operator float() const { return to_float(); }
   std::uint16_t bits() const { return bits_; }
@@ -136,12 +130,6 @@ class BFloat16 {
  public:
   BFloat16() = default;
   explicit BFloat16(float f) : bits_(detail::f32_to_bf16_bits(f)) {}
-
-  static BFloat16 from_bits(std::uint16_t bits) {
-    BFloat16 b;
-    b.bits_ = bits;
-    return b;
-  }
 
   float to_float() const { return detail::bf16_bits_to_f32(bits_); }
   explicit operator float() const { return to_float(); }

@@ -39,16 +39,20 @@ std::uint64_t packed_g(const ChunkSpec& spec, const PrecisionConfig& prec) {
 
 }  // namespace
 
+// The programs' clip chain and FSDP's ring_all_reduce_scalar share tags.
+static_assert(wire_tags::kTagClipUp == comm::kCollectiveTagBase + 6'000);
+
 sched::MsgKind classify_tag(std::int64_t tag) {
-  if (tag >= comm::kCollectiveTagBase) {
-    const std::int64_t offset = tag - comm::kCollectiveTagBase;
-    // ring_broadcast (FSDP weight gather) and ring_reduce_to_root (FSDP
-    // gradient reduce) default bases; see comm/collectives.hpp.
-    if (offset >= 4'000 && offset < 5'000) return sched::MsgKind::kWeightF;
-    if (offset >= 5'000 && offset < 6'000) return sched::MsgKind::kGradD;
-    return sched::MsgKind::kOpaque;
+  const sched::MsgKind kind = wire_tags::msg_kind(tag);
+  if (kind != sched::MsgKind::kOpaque || tag < comm::kCollectiveTagBase) {
+    return kind;
   }
-  return wire_tags::msg_kind(tag);
+  const std::int64_t offset = tag - comm::kCollectiveTagBase;
+  // ring_broadcast (FSDP weight gather) and ring_reduce_to_root (FSDP
+  // gradient reduce) default bases; see comm/collectives.hpp.
+  if (offset >= 4'000 && offset < 5'000) return sched::MsgKind::kWeightF;
+  if (offset >= 5'000 && offset < 6'000) return sched::MsgKind::kGradD;
+  return sched::MsgKind::kOpaque;
 }
 
 KindVolumes measured_kind_volumes(const comm::Fabric& fabric) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <variant>
 
@@ -49,7 +50,7 @@ std::int64_t ctx_bytes(const std::vector<BlockCtx>& ctxs) {
 }  // namespace
 
 void execute(const sched::Program& program, int rank, comm::Endpoint& ep,
-             Backend& backend, int peer_base) {
+             Backend& backend) {
   for (const sched::Op& op :
        program.rank_ops[static_cast<std::size_t>(rank)]) {
     if (const auto* c = std::get_if<sched::ComputeOp>(&op)) {
@@ -57,17 +58,16 @@ void execute(const sched::Program& program, int rank, comm::Endpoint& ep,
     } else if (const auto* s = std::get_if<sched::SendOp>(&op)) {
       Payload out = backend.outgoing(*s);
       if (out.wire) {
-        ep.send(peer_base + s->dst, s->tag, std::move(out.wire));
+        ep.send(s->dst, s->tag, std::move(out.wire));
       } else {
-        ep.send_floats(peer_base + s->dst, s->tag, out.values,
-                       out.precision);
+        ep.send_floats(s->dst, s->tag, out.values, out.precision);
       }
     } else if (const auto* r = std::get_if<sched::RecvOp>(&op)) {
       const Landing in = backend.landing(*r);
       if (!in.values.empty()) {
-        ep.recv_floats(peer_base + r->src, r->tag, in.values, in.precision);
+        ep.recv_floats(r->src, r->tag, in.values, in.precision);
       } else {
-        backend.incoming(*r, ep.recv_buffer(peer_base + r->src, r->tag));
+        backend.incoming(*r, ep.recv_buffer(r->src, r->tag));
       }
     } else {
       WEIPIPE_CHECK_MSG(false, "program '" << program.name
@@ -148,7 +148,12 @@ Payload TimedBackend::outgoing(const sched::SendOp& op) {
 
 // ---- real math ----------------------------------------------------------------
 
-void hold_quantized(RealMath::Held& held, std::span<const float> master,
+namespace {
+
+// The compute copy of fp32 master weights at `precision` (identity in fp32
+// mode), charged to the ledger as weights.
+template <typename Held>
+void hold_quantized(Held& held, std::span<const float> master,
                     WirePrecision precision) {
   held.values.resize(master.size());
   for (std::size_t i = 0; i < master.size(); ++i) {
@@ -158,24 +163,43 @@ void hold_quantized(RealMath::Held& held, std::span<const float> master,
                   4 * static_cast<std::int64_t>(held.values.size()));
 }
 
+// Unpacks `payload` into `into`, or adds it there element-wise.
+void land(std::span<float> into, const comm::Buffer& payload,
+          WirePrecision precision, bool accumulate) {
+  std::vector<float> in(accumulate ? into.size() : 0);
+  comm::unpack_floats(payload.span(), precision, accumulate ? in : into);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    into[i] += in[i];
+  }
+}
+
+}  // namespace
+
 RealMath::RealMath(const Model& model, const std::vector<ChunkSpec>& chunks,
                    const TrainConfig& cfg, const Dataset& data,
                    std::int64_t iter_index, std::vector<double>& losses,
-                   std::int64_t mb_offset)
+                   const Owned& owned)
     : model_(model),
       chunks_(chunks),
       cfg_(cfg),
       data_(data),
       iter_index_(iter_index),
       losses_(losses),
-      mb_offset_(mb_offset) {}
+      owned_(owned) {
+  WEIPIPE_CHECK(owned_.shard != nullptr);
+  if (owned_.vocab != nullptr) {
+    hold_quantized(vocab_w_, owned_.vocab->params, cfg_.precision.weights);
+    vocab_g_.values.assign(vocab_w_.values.size(), 0.0f);
+    vocab_g_.charge.set(obs::MemKind::kWeightGrads,
+                        4 * static_cast<std::int64_t>(vocab_g_.values.size()));
+  }
+}
 
 RealMath::InFlight& RealMath::state(std::int64_t m) {
   auto [it, fresh] = inflight_.try_emplace(m);
   if (fresh) {
-    it->second.mb = data_.make(
-        iter_index_ * cfg_.num_microbatches + mb_offset_ + m,
-        cfg_.microbatch_size, cfg_.seq_len);
+    it->second.mb = data_.make(iter_index_ * cfg_.num_microbatches + m,
+                               cfg_.microbatch_size, cfg_.seq_len);
     it->second.ctxs.resize(chunks_.size());
   }
   return it->second;
@@ -198,6 +222,35 @@ const ChunkSpec& RealMath::chunk(std::int64_t c, const Held& held) const {
   return spec;
 }
 
+RealMath::Held& RealMath::weights(sched::MsgKind kind, std::int64_t c) {
+  Held& h = kind == sched::MsgKind::kWeightB ? (b_ ? *b_ : b_.emplace()) : f_;
+  if (h.values.empty()) {
+    WEIPIPE_CHECK_MSG(c == owned_.chunk,
+                      "chunk " << c << " was never received and this rank "
+                               << "owns chunk " << owned_.chunk);
+    hold_quantized(h, owned_.shard->params, cfg_.precision.weights);
+  }
+  return h;
+}
+
+RealMath::Held& RealMath::grads(std::int64_t c) {
+  if (d_.values.empty()) {
+    const std::int64_t n = chunks_.at(static_cast<std::size_t>(c)).param_count;
+    d_.values.assign(static_cast<std::size_t>(n), 0.0f);
+    d_.charge.set(obs::MemKind::kWeightGrads, 4 * n);
+  }
+  return d_;
+}
+
+double RealMath::local_sq_norm() const {
+  double sq = grad_sq_norm(d_.values);
+  if (owned_.counts_vocab_norm) {
+    sq += static_cast<double>(owned_.replicas) *
+          grad_sq_norm(vocab_g_.values);
+  }
+  return sq;
+}
+
 void RealMath::compute(const sched::ComputeOp& op) {
   switch (op.kind) {
     case sched::ComputeKind::kForward:
@@ -207,9 +260,7 @@ void RealMath::compute(const sched::ComputeOp& op) {
       backward(op);
       return;
     case sched::ComputeKind::kOptimizer:
-      WEIPIPE_CHECK_MSG(inflight_.empty(),
-                        inflight_.size() << " microbatch(es) unfinished");
-      update(d.values);
+      update(op);
       return;
     default:
       WEIPIPE_CHECK_MSG(false, "no real-math executor for "
@@ -220,20 +271,21 @@ void RealMath::compute(const sched::ComputeOp& op) {
 
 void RealMath::forward(const sched::ComputeOp& op) {
   obs::MemScope act_scope(obs::MemKind::kActivations);
-  const std::int64_t mb = mb_offset_ + op.microbatch;
+  const std::int64_t mb = op.microbatch;
   const bool last = op.chunk == static_cast<std::int64_t>(chunks_.size()) - 1;
-  const bool vocab = !vocab_weights.empty();
+  const bool vocab = owned_.vocab != nullptr;
+  const std::span<const float> vocab_w = vocab_w_.values;
   const std::int64_t emb_n = model_.block_param_count(0);
   const std::int64_t head_n =
       model_.block_param_count(model_.num_blocks() - 1);
-  InFlight& st = state(op.microbatch);
+  InFlight& st = state(mb);
   {
     obs::SpanScope span(obs::SpanKind::kForward, mb, op.chunk);
+    const Held& f = weights(sched::MsgKind::kWeightF, op.chunk);
     const ChunkSpec& spec = chunk(op.chunk, f);
     if (op.chunk == 0 && vocab) {
-      st.act = model_.block(0).forward(vocab_weights.first(emb_n), st.mb,
-                                       Tensor(), st.emb_ctx,
-                                       !cfg_.model.recompute);
+      st.act = model_.block(0).forward(vocab_w.first(emb_n), st.mb, Tensor(),
+                                       st.emb_ctx, !cfg_.model.recompute);
     }
     auto& ctxs = st.ctxs[static_cast<std::size_t>(op.chunk)];
     ctxs.clear();
@@ -248,8 +300,8 @@ void RealMath::forward(const sched::ComputeOp& op) {
     }
     if (last && vocab) {
       st.act = model_.block(model_.num_blocks() - 1)
-                   .forward(vocab_weights.subspan(emb_n, head_n), st.mb,
-                            st.act, st.head_ctx, !cfg_.model.recompute);
+                   .forward(vocab_w.subspan(emb_n, head_n), st.mb, st.act,
+                            st.head_ctx, !cfg_.model.recompute);
     }
     if (span.armed()) {
       const std::int64_t delta = ctx_bytes(ctxs);
@@ -273,20 +325,22 @@ void RealMath::backward(const sched::ComputeOp& op) {
   obs::MemScope act_scope(obs::MemKind::kActivations);
   auto it = find(op.microbatch);
   InFlight& st = it->second;
-  Held& w = b ? *b : f;
-  const bool vocab = !vocab_weights.empty();
+  const Held& w = b_ ? *b_ : f_;
+  Held& d = grads(op.chunk);
+  const bool vocab = owned_.vocab != nullptr;
+  const std::span<const float> vocab_w = vocab_w_.values;
+  const std::span<float> vocab_g = vocab_g_.values;
   const std::int64_t emb_n = model_.block_param_count(0);
   const std::int64_t head_n =
       model_.block_param_count(model_.num_blocks() - 1);
-  obs::SpanScope span(obs::SpanKind::kBackward, mb_offset_ + op.microbatch,
-                      op.chunk);
+  obs::SpanScope span(obs::SpanKind::kBackward, op.microbatch, op.chunk);
   const ChunkSpec& spec = chunk(op.chunk, w);
   WEIPIPE_CHECK(d.values.size() == w.values.size());
   if (vocab && op.chunk == static_cast<std::int64_t>(chunks_.size()) - 1) {
     st.grad = model_.block(model_.num_blocks() - 1)
-                  .backward(vocab_weights.subspan(emb_n, head_n), st.mb,
+                  .backward(vocab_w.subspan(emb_n, head_n), st.mb,
                             st.head_ctx, st.grad,
-                            vocab_grads.subspan(emb_n, head_n));
+                            vocab_g.subspan(emb_n, head_n));
     st.head_ctx = BlockCtx();
   }
   auto& ctxs = st.ctxs[static_cast<std::size_t>(op.chunk)];
@@ -309,11 +363,37 @@ void RealMath::backward(const sched::ComputeOp& op) {
   ctxs.clear();  // this chunk's activations are spent
   if (op.chunk == 0) {
     if (vocab) {
-      (void)model_.block(0).backward(vocab_weights.first(emb_n), st.mb,
-                                     st.emb_ctx, st.grad,
-                                     vocab_grads.first(emb_n));
+      (void)model_.block(0).backward(vocab_w.first(emb_n), st.mb, st.emb_ctx,
+                                     st.grad, vocab_g.first(emb_n));
     }
     inflight_.erase(it);  // microbatch fully processed
+  }
+}
+
+void RealMath::update(const sched::ComputeOp& op) {
+  WEIPIPE_CHECK_MSG(inflight_.empty(),
+                    inflight_.size() << " microbatch(es) unfinished");
+  WEIPIPE_CHECK(op.chunk < 0 || op.chunk == owned_.chunk);
+  Shard& own = *owned_.shard;
+  WEIPIPE_CHECK(own.params.size() == d_.values.size());
+  if (cfg_.clip.enabled()) {
+    const double total_sq = (norm_ ? *norm_ : local_sq_norm()) /
+                            static_cast<double>(owned_.replicas);
+    const float scale = clip_scale(cfg_.clip, total_sq);
+    if (scale != 1.0f) {
+      for (float& v : d_.values) {
+        v *= scale;
+      }
+      for (float& v : vocab_g_.values) {
+        v *= scale;
+      }
+    }
+  }
+  obs::SpanScope opt_span(obs::SpanKind::kOptimizer, -1, owned_.chunk);
+  const AdamConfig adam = cfg_.adam_for_iteration(iter_index_);
+  own.adam.step(own.params, d_.values, adam);
+  if (owned_.steps_vocab) {
+    owned_.vocab->adam.step(owned_.vocab->params, vocab_g_.values, adam);
   }
 }
 
@@ -322,13 +402,34 @@ Payload RealMath::outgoing(const sched::SendOp& op) {
   switch (op.kind) {
     case sched::MsgKind::kWeightF:
     case sched::MsgKind::kWeightB: {
-      Held& h = op.kind == sched::MsgKind::kWeightF ? f : b.value();
-      WEIPIPE_CHECK_MSG(h.wire, "no wire buffer held for a weight relay");
+      if (op.master) {
+        WEIPIPE_CHECK(op.chunk == owned_.chunk);
+        if (!master_wire_) {
+          master_wire_ =
+              comm::pack_floats_to_buffer(owned_.shard->params, pc.weights);
+        }
+        return {.wire = master_wire_};
+      }
+      Held& h = weights(op.kind, op.chunk);
+      if (!h.wire) {
+        h.wire = comm::pack_floats_to_buffer(h.values, pc.weights);
+      }
       return {.wire = std::move(h.wire)};
     }
     case sched::MsgKind::kGradD:
       // D leaves after backward added this rank's contribution.
-      return {.values = d.values, .precision = pc.weight_grads};
+      return {.values = grads(op.chunk).values,
+              .precision = pc.weight_grads};
+    case sched::MsgKind::kVocabGrad:
+      return {.values = vocab_g_.values, .precision = pc.weight_grads};
+    case sched::MsgKind::kNorm: {
+      if (!norm_) {
+        norm_ = local_sq_norm();
+      }
+      std::vector<std::uint8_t> raw(sizeof(double));
+      std::memcpy(raw.data(), &*norm_, sizeof(double));
+      return {.wire = comm::Buffer::adopt(std::move(raw))};
+    }
     case sched::MsgKind::kActivation: {
       Payload out{.precision = pc.activations,
                   .owned = std::move(find(op.microbatch)->second.act)};
@@ -371,14 +472,32 @@ Landing RealMath::landing(const sched::RecvOp& op) {
 }
 
 void RealMath::incoming(const sched::RecvOp& op, comm::Buffer payload) {
+  const WirePrecision wg = cfg_.precision.weight_grads;
+  if (op.kind == sched::MsgKind::kNorm) {
+    double v = 0.0;
+    WEIPIPE_CHECK(payload.size() == sizeof(double));
+    WEIPIPE_CHECK(!op.accumulate || !norm_);
+    std::memcpy(&v, payload.data(), sizeof(double));
+    norm_ = op.accumulate ? v + local_sq_norm() : v;
+    return;
+  }
+  if (op.kind == sched::MsgKind::kVocabGrad || op.accumulate) {
+    WEIPIPE_CHECK(op.kind == sched::MsgKind::kGradD ||
+                  op.kind == sched::MsgKind::kVocabGrad);
+    land(op.kind == sched::MsgKind::kGradD ? d_.values : vocab_g_.values,
+         payload, wg, op.accumulate);
+    return;
+  }
+  // A whole flow chunk overwrites the held one.
   const bool grads = op.kind == sched::MsgKind::kGradD;
   WEIPIPE_CHECK_MSG(grads || op.kind == sched::MsgKind::kWeightF ||
                         op.kind == sched::MsgKind::kWeightB,
                     "no real-math receiver for " << sched::to_string(op.kind)
                                                  << " messages");
-  Held& h = grads ? d : op.kind == sched::MsgKind::kWeightF ? f : b.value();
-  const WirePrecision precision =
-      grads ? cfg_.precision.weight_grads : cfg_.precision.weights;
+  Held& h = grads ? d_
+            : op.kind == sched::MsgKind::kWeightF ? f_
+                                                  : (b_ ? *b_ : b_.emplace());
+  const WirePrecision precision = grads ? wg : cfg_.precision.weights;
   // packed_size grows strictly with the element count, so exactly one
   // chunk size fits the payload.
   const auto fits = std::find_if(
@@ -389,7 +508,8 @@ void RealMath::incoming(const sched::RecvOp& op, comm::Buffer payload) {
   WEIPIPE_CHECK_MSG(fits != chunks_.end(),
                     "no chunk packs to " << payload.size() << " bytes");
   h.values.resize(static_cast<std::size_t>(fits->param_count));
-  h.charge.resize(4 * fits->param_count);
+  h.charge.set(grads ? obs::MemKind::kWeightGrads : obs::MemKind::kWeights,
+               4 * fits->param_count);
   comm::unpack_floats(payload.span(), precision, h.values);
   if (!grads) {
     h.wire = std::move(payload);  // relayed unchanged next turn

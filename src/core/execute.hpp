@@ -7,8 +7,9 @@
 // The interpreter owns the fabric calls: each SendOp and RecvOp becomes one
 // send or receive on op.tag, in program order. A backend owns the rest:
 //  * RealMath runs the nn forward, backward and loss on the held weight
-//    chunk and the microbatch's activations, and calls the trainer's update
-//    at the optimizer op;
+//    chunk and the microbatch's activations, packs and adds the epilogue's
+//    chain payloads, and clips and steps Adam on the rank's own shard at
+//    the optimizer op;
 //  * TimedBackend busy-waits each compute op's modeled duration and ships
 //    filler payloads of the modeled size (weipipe_cli profile's
 //    schedule-only strategies).
@@ -55,12 +56,10 @@ class Backend {
   virtual void incoming(const sched::RecvOp& op, comm::Buffer payload) = 0;
 };
 
-// Runs program.rank_ops[rank] in order. Program rank q is world rank
-// peer_base + q (WeiPipe's data-parallel replicas each run the ring
-// program on their own block of ranks). Collective ops have no executor
-// here and are rejected.
+// Runs program.rank_ops[rank] in order; program ranks are world ranks.
+// Collective ops have no executor here and are rejected.
 void execute(const sched::Program& program, int rank, comm::Endpoint& ep,
-             Backend& backend, int peer_base = 0);
+             Backend& backend);
 
 // Throws weipipe::Error carrying the analyzer's report unless
 // analysis::analyze finds nothing wrong with `program`.
@@ -90,10 +89,37 @@ class TimedBackend final : public Backend {
   double act_bytes_ = 0.0;  // running sum of ComputeOp::mem_delta
 };
 
-// Real math for one rank's step. The trainer fills the held flows (and the
-// replicated vocab blocks, if any) and the update before execute().
+// Real math for one rank's step, on the trainer's training state.
 class RealMath final : public Backend {
  public:
+  struct Owned {
+    // The chunk whose fp32 master and Adam state the rank keeps: a flow the
+    // program uses before receiving it starts from it (the analyzer proves
+    // this), master injections pack it and the optimizer op steps it.
+    std::int64_t chunk = -1;
+    Shard* shard = nullptr;
+    // Replicated embedding || head master (null unless the vocab blocks
+    // stay off the ring), updated by the rank with `steps_vocab`.
+    Shard* vocab = nullptr;
+    bool steps_vocab = false;
+    // Clipping: every DP replica adds its (identical) reduced gradients to
+    // the norm chain, so the total is divided by `replicas`; the vocab
+    // gradient counts once, times `replicas`, on `counts_vocab_norm`'s rank.
+    std::int64_t replicas = 1;
+    bool counts_vocab_norm = false;
+  };
+
+  RealMath(const Model& model, const std::vector<ChunkSpec>& chunks,
+           const TrainConfig& cfg, const Dataset& data,
+           std::int64_t iter_index, std::vector<double>& losses,
+           const Owned& owned);
+
+  void compute(const sched::ComputeOp& op) override;
+  Payload outgoing(const sched::SendOp& op) override;
+  Landing landing(const sched::RecvOp& op) override;
+  void incoming(const sched::RecvOp& op, comm::Buffer payload) override;
+
+ private:
   // One held flow: fp32 working values, and for a circulating weight chunk
   // the wire buffer they were unpacked from. A rank relays that buffer
   // unchanged (unpack-then-repack is bit-identical for the flow
@@ -104,31 +130,6 @@ class RealMath final : public Backend {
     obs::MemCharge charge;
   };
 
-  // Program microbatch m is global microbatch mb_offset + m.
-  RealMath(const Model& model, const std::vector<ChunkSpec>& chunks,
-           const TrainConfig& cfg, const Dataset& data,
-           std::int64_t iter_index, std::vector<double>& losses,
-           std::int64_t mb_offset = 0);
-
-  // F: the chunk forward computes with. B: the chunk backward computes
-  // with, when a separate flow brings it (weight passing); otherwise F.
-  // D: the gradient accumulator backward adds into.
-  Held f;
-  std::optional<Held> b;
-  Held d;
-  // Replicated embedding || head weights and their local gradients; empty
-  // unless the vocab blocks stay off the ring.
-  std::span<const float> vocab_weights;
-  std::span<float> vocab_grads;
-  // Called at the optimizer op with the accumulated gradient (D).
-  std::function<void(std::vector<float>& grads)> update;
-
-  void compute(const sched::ComputeOp& op) override;
-  Payload outgoing(const sched::SendOp& op) override;
-  Landing landing(const sched::RecvOp& op) override;
-  void incoming(const sched::RecvOp& op, comm::Buffer payload) override;
-
- private:
   // One in-flight microbatch on this rank.
   struct InFlight {
     Microbatch mb;
@@ -142,8 +143,15 @@ class RealMath final : public Backend {
   InFlight& state(std::int64_t m);
   std::map<std::int64_t, InFlight>::iterator find(std::int64_t m);
   const ChunkSpec& chunk(std::int64_t c, const Held& held) const;
+  // The weight flow of `kind` (F, or B once a separate flow brought it),
+  // filled from the rank's own master on first use.
+  Held& weights(sched::MsgKind kind, std::int64_t c);
+  // D, zeroed at chunk c's size on first use.
+  Held& grads(std::int64_t c);
+  double local_sq_norm() const;
   void forward(const sched::ComputeOp& op);
   void backward(const sched::ComputeOp& op);
+  void update(const sched::ComputeOp& op);
 
   const Model& model_;
   const std::vector<ChunkSpec>& chunks_;
@@ -151,7 +159,18 @@ class RealMath final : public Backend {
   const Dataset& data_;
   std::int64_t iter_index_;
   std::vector<double>& losses_;
-  std::int64_t mb_offset_;
+  Owned owned_;
+  // F: the chunk forward computes with. B: the chunk backward computes
+  // with, when a separate flow brings it (weight passing); otherwise F.
+  // D: the gradient accumulator backward adds into.
+  Held f_;
+  std::optional<Held> b_;
+  Held d_;
+  comm::Buffer master_wire_;  // the owned master, packed once
+  // Replicated vocab blocks: compute copy and local gradient.
+  Held vocab_w_;
+  Held vocab_g_;
+  std::optional<double> norm_;  // clip chain: partial or global sq. norm
   std::map<std::int64_t, InFlight> inflight_;
   // Resident bytes of saved activations (BlockCtx state), tracked while
   // tracing: compute spans carry it so measured peaks can be checked
@@ -159,10 +178,5 @@ class RealMath final : public Backend {
   // excluded, as in the schedule's memory algebra.
   std::int64_t act_resident_bytes_ = 0;
 };
-
-// Fills `held` with the compute copy of fp32 master weights at
-// `precision` (identity in fp32 mode), charged to the ledger as weights.
-void hold_quantized(RealMath::Held& held, std::span<const float> master,
-                    WirePrecision precision);
 
 }  // namespace weipipe::exec

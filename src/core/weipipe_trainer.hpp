@@ -6,10 +6,11 @@
 // to WeiPipeSchedule. Activations and their gradients never cross the wire —
 // the defining property this reproduces.
 //
-// The turns are the program sched::build_weipipe emits, proven by the
-// analyzer when the trainer is built and run by the schedule interpreter
-// (core/execute.hpp); the trainer keeps the weight redistribution before
-// the turns and the update after them.
+// The whole step is the program sched::build_weipipe_step emits: the
+// owners' weight redistribution, the turns, the DP, vocab and clip chains
+// and the update. The analyzer proves it when the trainer is built and the
+// schedule interpreter (core/execute.hpp) runs it; the trainer only holds
+// the shards.
 //
 // Mixed precision follows the paper: circulated W and D in
 // cfg.precision.weights / .weight_grads (fp16 in paper mode), fp32 Adam
@@ -59,17 +60,11 @@ class WeiPipeTrainer final : public Trainer {
                                   std::int64_t iter_index) override;
 
   const WeiPipeSchedule& schedule() const { return sched_; }
+  // The step program every rank interprets (sched::build_weipipe_step).
+  const sched::Program& program() const { return program_; }
   comm::Fabric* fabric() override { return fabric_.get(); }
 
  private:
-  void worker_body(int rank, comm::Endpoint& ep, const Dataset& data,
-                   std::int64_t iter_index, std::vector<double>& losses);
-  // Replica `replica`'s shard of chunk c / of embedding||head. Only the
-  // owning worker thread touches a shard during an iteration (asserted by
-  // the schedule algebra).
-  Shard& chunk_shard(std::int64_t replica, std::int64_t c);
-  Shard& vocab_shard(std::int64_t replica);
-
   TrainConfig cfg_;
   std::int64_t p_;   // ring size (pipeline chunks)
   std::int64_t dp_;  // data-parallel replicas
@@ -78,7 +73,7 @@ class WeiPipeTrainer final : public Trainer {
   WeiPipeSchedule sched_;
   std::vector<ChunkSpec> chunks_;
   std::unique_ptr<comm::Fabric> fabric_;
-  sched::Program program_;  // one ring's turns, analyzed at construction
+  sched::Program program_;  // the whole step, analyzed at construction
 };
 
 }  // namespace weipipe

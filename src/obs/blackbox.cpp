@@ -78,8 +78,8 @@ SpanKind span_kind_from_name(const std::string& name) {
       SpanKind::kOptimizer,    SpanKind::kLoss,
       SpanKind::kSendTransfer, SpanKind::kRecvWait,
       SpanKind::kRecvTransfer, SpanKind::kCollective,
-      SpanKind::kBarrier,      SpanKind::kKernel,
-      SpanKind::kStep,         SpanKind::kFault,
+      SpanKind::kKernel,       SpanKind::kStep,
+      SpanKind::kFault,
   };
   for (SpanKind k : kAll) {
     if (name == to_string(k)) {

@@ -95,7 +95,6 @@ PathCategory categorize(SpanKind kind) {
     case SpanKind::kSendTransfer:
     case SpanKind::kRecvTransfer:
     case SpanKind::kCollective:
-    case SpanKind::kBarrier:
       return PathCategory::kExposedWire;
     case SpanKind::kRecvWait:
       return PathCategory::kBlockedRecv;  // refined by the flow lookup

@@ -50,7 +50,6 @@ void MemoryLedger::on_alloc(MemKind kind, std::int64_t bytes) {
 void MemoryLedger::on_alloc(MemKind kind, int bucket, std::int64_t bytes) {
   if (bytes <= 0) return;
   const int k = static_cast<int>(kind);
-  rank_live_[bucket][k].fetch_add(bytes, std::memory_order_relaxed);
   const std::int64_t rank_total =
       rank_total_live_[bucket].fetch_add(bytes, std::memory_order_relaxed) +
       bytes;
@@ -66,7 +65,6 @@ void MemoryLedger::on_alloc(MemKind kind, int bucket, std::int64_t bytes) {
 void MemoryLedger::on_free(MemKind kind, int bucket, std::int64_t bytes) {
   if (bytes <= 0) return;
   const int k = static_cast<int>(kind);
-  rank_live_[bucket][k].fetch_sub(bytes, std::memory_order_relaxed);
   rank_total_live_[bucket].fetch_sub(bytes, std::memory_order_relaxed);
   kind_live_[k].fetch_sub(bytes, std::memory_order_relaxed);
   total_live_.fetch_sub(bytes, std::memory_order_relaxed);
@@ -86,11 +84,6 @@ std::int64_t MemoryLedger::total_live_bytes() const {
 
 std::int64_t MemoryLedger::total_peak_bytes() const {
   return total_peak_.load(std::memory_order_relaxed);
-}
-
-std::int64_t MemoryLedger::rank_live_bytes(int bucket, MemKind kind) const {
-  return rank_live_[bucket][static_cast<int>(kind)].load(
-      std::memory_order_relaxed);
 }
 
 LedgerSnapshot MemoryLedger::snapshot() const {

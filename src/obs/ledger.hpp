@@ -90,7 +90,6 @@ class MemoryLedger {
   std::int64_t peak_bytes(MemKind kind) const;
   std::int64_t total_live_bytes() const;
   std::int64_t total_peak_bytes() const;
-  std::int64_t rank_live_bytes(int bucket, MemKind kind) const;
 
   LedgerSnapshot snapshot() const;
 
@@ -103,9 +102,8 @@ class MemoryLedger {
 
   std::atomic<bool> enabled_{false};
 
-  // Per-(bucket, kind) live bytes; per-bucket total live/peak; global
-  // per-kind live/peak and total live/peak.
-  std::atomic<std::int64_t> rank_live_[kRankBuckets][kNumMemKinds] = {};
+  // Per-bucket total live/peak; global per-kind live/peak and total
+  // live/peak.
   std::atomic<std::int64_t> rank_total_live_[kRankBuckets] = {};
   std::atomic<std::int64_t> rank_total_peak_[kRankBuckets] = {};
   std::atomic<std::int64_t> kind_live_[kNumMemKinds] = {};

@@ -61,7 +61,6 @@ const char* to_string(SpanKind kind) {
     case SpanKind::kRecvWait: return "recv-wait";
     case SpanKind::kRecvTransfer: return "recv-unpack";
     case SpanKind::kCollective: return "collective";
-    case SpanKind::kBarrier: return "barrier";
     case SpanKind::kKernel: return "kernel";
     case SpanKind::kStep: return "step";
     case SpanKind::kFault: return "fault";
@@ -89,7 +88,6 @@ bool is_comm(SpanKind kind) {
     case SpanKind::kRecvWait:
     case SpanKind::kRecvTransfer:
     case SpanKind::kCollective:
-    case SpanKind::kBarrier:
       return true;
     default:
       return false;
@@ -236,11 +234,6 @@ std::vector<Recorder::RankDropped> Recorder::dropped_by_rank() const {
 
 bool enabled() { return Recorder::active() != nullptr; }
 
-bool kernels_enabled() {
-  Recorder* rec = Recorder::active();
-  return rec != nullptr && rec->options().record_kernels;
-}
-
 std::int64_t now_ns() { return steady_now_ns(); }
 
 void record(Span span) {
@@ -287,8 +280,6 @@ int current_rank() {
 void set_process_rank(int rank) {
   g_process_rank.store(rank, std::memory_order_relaxed);
 }
-
-int process_rank() { return g_process_rank.load(std::memory_order_relaxed); }
 
 RankScope::RankScope(int rank) : previous_(t_rank) { t_rank = rank; }
 

@@ -118,8 +118,6 @@ class Recorder {
 
 // One relaxed atomic load; every instrumentation site gates on this.
 bool enabled();
-// enabled() && active recorder wants kernel spans.
-bool kernels_enabled();
 
 std::int64_t now_ns();
 
@@ -141,7 +139,6 @@ int current_rank();  // -1 outside any RankScope (and no process rank set)
 // then attribute by global rank with no post-hoc rewriting. Set it once,
 // right after fork, before any instrumentation runs.
 void set_process_rank(int rank);
-int process_rank();
 
 class RankScope {
  public:

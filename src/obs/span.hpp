@@ -28,7 +28,6 @@ enum class SpanKind : std::uint8_t {
   kRecvWait,      // blocked until the matching message has landed
   kRecvTransfer,  // unpack/widen the landed payload into the user buffer
   kCollective,    // one ring collective, end to end
-  kBarrier,
   // Substrate.
   kKernel,  // one parallel_for dispatch on the tensor thread pool
   kStep,    // one whole train_iteration (recorded by the driving thread)

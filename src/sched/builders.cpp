@@ -46,6 +46,8 @@ const char* to_string(MsgKind kind) {
     case MsgKind::kGradD: return "D-grad";
     case MsgKind::kActivation: return "activation";
     case MsgKind::kActGrad: return "act-grad";
+    case MsgKind::kVocabGrad: return "vocab-grad";
+    case MsgKind::kNorm: return "norm";
   }
   return "?";
 }
@@ -108,6 +110,133 @@ Program build_weipipe(const WeiPipeSchedule& schedule,
     }
     ops.push_back(ComputeOp{ComputeKind::kOptimizer, -1, -1,
                             costs.optimizer_seconds, 0.0});
+  }
+  return prog;
+}
+
+namespace {
+
+// Chain all-reduce over `members`, in order: partial sums travel up the
+// chain on `up_tag`, each receiver adding its own contribution, and the last
+// member's total travels back down on `down_tag`. A member's ops go ahead of
+// its closing optimizer op, after any chain emitted before.
+void emit_chain_all_reduce(Program& prog, const std::vector<int>& members,
+                           std::int64_t up_tag, std::int64_t down_tag,
+                           MsgKind kind, std::int64_t chunk, double bytes) {
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const bool first = i == 0;
+    const bool last = i + 1 == members.size();
+    std::vector<Op> chain;
+    if (!first) {
+      chain.push_back(RecvOp{members[i - 1], up_tag, kind, -1,
+                             /*accumulate=*/true});
+    }
+    if (!last) {
+      chain.push_back(SendOp{members[i + 1], bytes, up_tag, false, kind,
+                             chunk});
+      chain.push_back(RecvOp{members[i + 1], down_tag, kind});
+    }
+    if (!first) {
+      chain.push_back(SendOp{members[i - 1], bytes, down_tag, false, kind,
+                             chunk});
+    }
+    auto& ops = prog.rank_ops[static_cast<std::size_t>(members[i])];
+    const auto* update =
+        ops.empty() ? nullptr : std::get_if<ComputeOp>(&ops.back());
+    const bool before_update =
+        update != nullptr && update->kind == ComputeKind::kOptimizer;
+    ops.insert(ops.end() - (before_update ? 1 : 0), chain.begin(),
+               chain.end());
+  }
+}
+
+std::vector<int> rank_range(int begin, int end, int stride = 1) {
+  std::vector<int> ranks;
+  for (int r = begin; r < end; r += stride) {
+    ranks.push_back(r);
+  }
+  return ranks;
+}
+
+}  // namespace
+
+void append_clip_chain(Program& prog) {
+  emit_chain_all_reduce(prog, rank_range(0, prog.num_ranks()), kTagClipUp,
+                        kTagClipDown, MsgKind::kNorm, -1, sizeof(double));
+}
+
+Program build_weipipe_step(const WeiPipeSchedule& schedule,
+                           const StrategyCosts& costs,
+                           const WeiPipeStepOptions& options) {
+  const Program turns = build_weipipe(schedule, costs, options.prefetch);
+  const auto p = static_cast<int>(schedule.num_workers());
+  const auto dp = static_cast<int>(options.dp_degree);
+  WEIPIPE_CHECK_MSG(dp >= 1, "dp_degree " << dp << " < 1");
+  // Worker w owns the chunk whose B-pair it holds after the last turn.
+  const auto owned = [&](int w) {
+    return schedule.b_chunk_at(w, schedule.total_turns());
+  };
+  const auto bytes = [&](std::int64_t c) {
+    return costs.chunk_weight_bytes[static_cast<std::size_t>(c)];
+  };
+  constexpr std::int64_t kRedistTag[2] = {kTagRedistF, kTagRedistB};
+  constexpr MsgKind kFlowKind[2] = {MsgKind::kWeightF, MsgKind::kWeightB};
+  Program prog;
+  prog.name = turns.name + "-step";
+  prog.rank_ops.resize(static_cast<std::size_t>(p * dp));
+  for (int d = 0; d < dp; ++d) {
+    const int base = d * p;
+    for (int w = 0; w < p; ++w) {
+      auto& ops = prog.rank_ops[static_cast<std::size_t>(base + w)];
+      // Redistribution: the owner's master seeds each flow another worker
+      // starts with its chunk; a flow the owner starts itself is its master.
+      const std::int64_t own = owned(w);
+      const std::int64_t holder[2] = {schedule.f_start_holder(own),
+                                      schedule.b_start_holder(own)};
+      const std::int64_t start[2] = {schedule.f_chunk_at(w, 0),
+                                     schedule.b_chunk_at(w, 0)};
+      for (int f = 0; f < 2; ++f) {
+        if (holder[f] != w) {
+          ops.push_back(SendOp{base + static_cast<int>(holder[f]), bytes(own),
+                               kRedistTag[f], false, kFlowKind[f], own, -1,
+                               /*master=*/true});
+        }
+      }
+      for (int f = 0; f < 2; ++f) {
+        const std::int64_t from = schedule.owner(start[f]);
+        if (from != w) {
+          ops.push_back(RecvOp{base + static_cast<int>(from), kRedistTag[f],
+                               kFlowKind[f]});
+        }
+      }
+      for (Op op : turns.rank_ops[static_cast<std::size_t>(w)]) {
+        if (auto* c = std::get_if<ComputeOp>(&op)) {
+          if (c->kind == ComputeKind::kOptimizer) {
+            c->chunk = own;
+          } else {
+            c->microbatch += d * schedule.num_microbatches();
+          }
+        } else if (auto* s = std::get_if<SendOp>(&op)) {
+          s->dst += base;
+        } else if (auto* r = std::get_if<RecvOp>(&op)) {
+          r->src += base;
+        }
+        ops.push_back(op);
+      }
+    }
+  }
+  // The epilogue, in this order on every rank: DP chain, vocab chain, clip.
+  for (int w = 0; w < p && dp > 1; ++w) {
+    emit_chain_all_reduce(prog, rank_range(w, p * dp, p), kTagDpReduce,
+                          kTagDpBcast, MsgKind::kGradD, owned(w),
+                          bytes(owned(w)));
+  }
+  if (options.replicate_vocab) {
+    emit_chain_all_reduce(prog, rank_range(0, p * dp), kTagVocabUp,
+                          kTagVocabDown, MsgKind::kVocabGrad, -1, 0.0);
+  }
+  if (options.clip) {
+    append_clip_chain(prog);
   }
   return prog;
 }

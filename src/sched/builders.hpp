@@ -49,6 +49,29 @@ struct StrategyCosts {
 Program build_weipipe(const WeiPipeSchedule& schedule,
                       const StrategyCosts& costs, bool prefetch = true);
 
+// The whole WeiPipe step the trainer runs, on P * dp_degree world ranks
+// (replica d's worker w is rank d * P + w): the owners' master injections
+// into the F and B flows (kTagRedistF / kTagRedistB); the build_weipipe
+// turns per replica, rank- and microbatch-offset; chain all-reduces of the
+// chunk gradients across replicas (dp_degree > 1), of the replicated vocab
+// gradient and of the clip norm across the world; then the optimizer op,
+// naming the owned chunk. Only the analyzer and the interpreter see it (the
+// simulator evaluates the bare turns), so vocab messages model 0 bytes.
+struct WeiPipeStepOptions {
+  bool prefetch = true;
+  std::int64_t dp_degree = 1;
+  bool replicate_vocab = false;
+  bool clip = false;
+};
+Program build_weipipe_step(const WeiPipeSchedule& schedule,
+                           const StrategyCosts& costs,
+                           const WeiPipeStepOptions& options);
+
+// Gradient clipping's norm chain: a chain all-reduce of one 8-byte scalar
+// over every rank, in rank order (kTagClipUp / kTagClipDown), inserted
+// ahead of each rank's closing optimizer op.
+void append_clip_chain(Program& prog);
+
 // WeiPipe-zero-bubble variants (paper §4.2.3; analyzed, not deployed — same
 // status as in the paper). Turn-level models:
 //  * WZB1: steady turns run one forward plus one B or W pass while moving

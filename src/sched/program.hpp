@@ -52,6 +52,8 @@ enum class MsgKind {
   kGradD,       // circulating weight-gradient chunk D
   kActivation,  // stage-boundary activations
   kActGrad,     // stage-boundary activation gradients
+  kVocabGrad,   // replicated embedding || head gradient (vocab chain)
+  kNorm,        // squared gradient norm: one raw 8-byte double (clip chain)
 };
 
 const char* to_string(MsgKind kind);
@@ -59,6 +61,9 @@ const char* to_string(MsgKind kind);
 struct ComputeOp {
   ComputeKind kind = ComputeKind::kForward;
   std::int64_t microbatch = -1;
+  // Forward/backward: the chunk computed. Optimizer: the chunk the rank
+  // owns (master weights and Adam state), or -1 when the program does not
+  // say (the bare turn programs the simulator evaluates).
   std::int64_t chunk = -1;
   double seconds = 0.0;
   // Bytes of activation/gradient state acquired (+) or released (-).
@@ -81,6 +86,11 @@ struct SendOp {
   // Activation kinds: the microbatch whose activations (or gradients) ride
   // the wire; -1 for every other kind.
   std::int64_t microbatch = -1;
+  // Weight kinds: ships the sender's fp32 master of `chunk`, packed at the
+  // flow precision, instead of a held flow. This is the redistribution that
+  // seeds a flow; only the chunk's owner (the rank whose optimizer op names
+  // it) may send it.
+  bool master = false;
 };
 
 struct RecvOp {
@@ -94,6 +104,9 @@ struct RecvOp {
   // Activation kinds: the microbatch the receiver files the payload under;
   // the analyzer checks it against the matched send's.
   std::int64_t microbatch = -1;
+  // Adds the payload into what the rank holds (its D chunk, vocab gradient
+  // or norm) instead of overwriting it: the up leg of a chain all-reduce.
+  bool accumulate = false;
 };
 
 // Asynchronous bulk transfer on the rank's comm channel (collective share).

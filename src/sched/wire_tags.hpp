@@ -9,8 +9,9 @@
 // the simulator does for predicted bytes. One tag per message class is
 // enough: messages of one class on one (src, dst) edge are matched FIFO.
 //
-// Collectives (comm/collectives.hpp) use caller-chosen tag_base ranges and
-// are deliberately not registered here; their spans carry their own labels.
+// The clip chain's tags sit at comm::ring_all_reduce_scalar's default base,
+// which FSDP's clip uses; the other collectives (comm/collectives.hpp)
+// use caller-chosen tag_base ranges and are not registered here.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,9 @@ constexpr std::int64_t kTagDpReduce = 12;  // cross-replica gradient chain
 constexpr std::int64_t kTagDpBcast = 13;   // reduced gradient broadcast
 constexpr std::int64_t kTagVocabUp = 14;   // vocab-grad chain reduce
 constexpr std::int64_t kTagVocabDown = 15; // vocab-grad broadcast
+// Gradient clipping's norm chain: comm::kCollectiveTagBase + 6000 / 6001.
+constexpr std::int64_t kTagClipUp = 1'000'006'000;    // partial norm sums
+constexpr std::int64_t kTagClipDown = 1'000'006'001;  // global norm
 
 // -- activation pipelines -------------------------------------------------------
 constexpr std::int64_t kTagAct = 20;   // stage-boundary activations
@@ -49,6 +53,8 @@ inline const char* label(std::int64_t tag) {
     case kTagDpBcast: return "dp-bcast";
     case kTagVocabUp: return "vocab-reduce";
     case kTagVocabDown: return "vocab-bcast";
+    case kTagClipUp: return "clip-reduce";
+    case kTagClipDown: return "clip-bcast";
     case kTagAct: return "act";
     case kTagGrad: return "act-grad";
     default: return "other";
@@ -66,9 +72,13 @@ inline sched::MsgKind msg_kind(std::int64_t tag) {
     case kTagBD:
     case kTagDpReduce:
     case kTagDpBcast:
+      return sched::MsgKind::kGradD;
     case kTagVocabUp:
     case kTagVocabDown:
-      return sched::MsgKind::kGradD;
+      return sched::MsgKind::kVocabGrad;
+    case kTagClipUp:
+    case kTagClipDown:
+      return sched::MsgKind::kNorm;
     case kTagAct:
       return sched::MsgKind::kActivation;
     case kTagGrad:

@@ -14,9 +14,6 @@ namespace weipipe::sim {
 struct Link {
   double bandwidth = 0.0;  // bytes/second
   double latency = 0.0;    // seconds
-  double transfer_seconds(double bytes) const {
-    return latency + bytes / bandwidth;
-  }
 };
 
 // Effective per-direction P2P figures.

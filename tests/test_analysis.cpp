@@ -17,6 +17,7 @@
 #include "sched/weipipe_schedule.hpp"
 #include "sim/engine.hpp"
 #include "sim/topology.hpp"
+#include "sched/wire_tags.hpp"
 
 namespace weipipe {
 namespace {
@@ -93,6 +94,10 @@ bool has_kind(const AnalysisReport& report, FindingKind kind) {
 }
 
 std::string dump(const AnalysisReport& report) { return report.summary(); }
+
+std::string describe_op_of(const Program& prog, const analysis::OpRef& ref) {
+  return analysis::describe_op(prog, ref.rank, ref.op);
+}
 
 // ---- Property sweep: every builder, every size, zero findings ----------------
 
@@ -416,6 +421,210 @@ TEST(AnalysisCoverage, MissingBackwardWeightsReported) {
                       ComputeOp{ComputeKind::kBackwardActs, 0, 0, 1.0, 0.0}};
   const AnalysisReport report = analysis::analyze(prog);
   EXPECT_TRUE(has_kind(report, FindingKind::kComputeCoverage)) << dump(report);
+}
+
+// ---- Whole-step programs: redistribution, chains, update ---------------------
+
+Program step_program(std::int64_t p, std::int64_t dp, bool vocab, bool clip,
+                     WeiPipeMode mode = WeiPipeMode::kInterleave,
+                     bool prefetch = true) {
+  return sched::build_weipipe_step(WeiPipeSchedule(p, 2, mode), unit_costs(p),
+                                   {.prefetch = prefetch,
+                                    .dp_degree = dp,
+                                    .replicate_vocab = vocab,
+                                    .clip = clip});
+}
+
+const Finding* first_of(const AnalysisReport& report, FindingKind kind) {
+  const auto it = std::find_if(
+      report.findings.begin(), report.findings.end(),
+      [kind](const Finding& f) { return f.kind == kind; });
+  return it == report.findings.end() ? nullptr : &*it;
+}
+
+TEST(AnalysisStep, DpVocabAndClipStepProgramsAreProven) {
+  struct Config {
+    std::int64_t dp;
+    bool vocab;
+    bool clip;
+  };
+  for (std::int64_t p : {2, 4}) {
+    for (const Config c : {Config{2, false, false}, Config{3, false, false},
+                           Config{1, true, false}, Config{1, false, true},
+                           Config{2, true, true}}) {
+      for (const WeiPipeMode mode :
+           {WeiPipeMode::kInterleave, WeiPipeMode::kNaive}) {
+        for (const bool prefetch : {true, false}) {
+          const Program prog =
+              step_program(p, c.dp, c.vocab, c.clip, mode, prefetch);
+          const AnalysisReport report = analysis::analyze(prog);
+          EXPECT_TRUE(report.ok())
+              << "p=" << p << " dp=" << c.dp << " vocab=" << c.vocab
+              << " clip=" << c.clip << "\n"
+              << dump(report);
+          EXPECT_TRUE(report.weight_annotated);
+          EXPECT_EQ(report.ops_executed, report.ops_total);
+          EXPECT_EQ(prog.num_ranks(), p * c.dp);
+        }
+      }
+    }
+    Program gpipe = sched::build_gpipe(p, 2 * p, unit_costs(p));
+    Program one_f_one_b = sched::build_1f1b(p, 2 * p, unit_costs(p));
+    sched::append_clip_chain(gpipe);
+    sched::append_clip_chain(one_f_one_b);
+    EXPECT_TRUE(analysis::analyze(gpipe).ok()) << dump(analysis::analyze(gpipe));
+    EXPECT_TRUE(analysis::analyze(one_f_one_b).ok())
+        << dump(analysis::analyze(one_f_one_b));
+  }
+}
+
+TEST(AnalysisStep, MasterInjectedByNonOwnerReported) {
+  // Mutation: a rank that does not own the chunk sends the master injection
+  // (the receiver is re-pointed at it, so the channels still balance).
+  Program prog = step_program(4, 1, false, false);
+  int owner = -1;
+  SendOp injection;
+  for (int r = 0; r < prog.num_ranks() && owner < 0; ++r) {
+    auto& ops = prog.rank_ops[static_cast<std::size_t>(r)];
+    for (auto it = ops.begin(); it != ops.end(); ++it) {
+      const auto* s = std::get_if<SendOp>(&*it);
+      if (s != nullptr && s->master) {
+        owner = r;
+        injection = *s;
+        ops.erase(it);
+        break;
+      }
+    }
+  }
+  ASSERT_GE(owner, 0);
+  int impostor = 0;
+  while (impostor == owner || impostor == injection.dst) {
+    ++impostor;
+  }
+  auto& impostor_ops = prog.rank_ops[static_cast<std::size_t>(impostor)];
+  impostor_ops.insert(impostor_ops.begin(), injection);
+  for (auto& op : prog.rank_ops[static_cast<std::size_t>(injection.dst)]) {
+    auto* r = std::get_if<RecvOp>(&op);
+    if (r != nullptr && r->tag == injection.tag) {
+      r->src = impostor;
+    }
+  }
+  ASSERT_TRUE(sched::validate(prog).ok);
+
+  const AnalysisReport report = analysis::analyze(prog);
+  const Finding* f = first_of(report, FindingKind::kWeightVersion);
+  ASSERT_NE(f, nullptr) << dump(report);
+  EXPECT_NE(f->message.find("injects the master"), std::string::npos)
+      << f->message;
+  ASSERT_EQ(f->witness.size(), 2u);
+  EXPECT_EQ(f->witness[0].rank, impostor);  // the injection
+  EXPECT_EQ(f->witness[1].rank, impostor);  // the optimizer op it lacks
+}
+
+TEST(AnalysisStep, FlowStartedWithoutItsInjectionReported) {
+  // Mutation: drop one injection and its receive. The receiver now starts
+  // a flow it does not own from nothing.
+  Program prog = step_program(4, 1, false, false);
+  int dst = -1;
+  std::int64_t tag = 0;
+  for (auto& ops : prog.rank_ops) {
+    const auto it = std::find_if(ops.begin(), ops.end(), [](const auto& op) {
+      const auto* s = std::get_if<SendOp>(&op);
+      return s != nullptr && s->master;
+    });
+    if (it != ops.end()) {
+      dst = std::get<SendOp>(*it).dst;
+      tag = std::get<SendOp>(*it).tag;
+      ops.erase(it);
+      break;
+    }
+  }
+  ASSERT_GE(dst, 0);
+  auto& ops = prog.rank_ops[static_cast<std::size_t>(dst)];
+  ops.erase(std::find_if(ops.begin(), ops.end(), [&](const auto& op) {
+    const auto* r = std::get_if<RecvOp>(&op);
+    return r != nullptr && r->tag == tag;
+  }));
+
+  const AnalysisReport report = analysis::analyze(prog);
+  const Finding* f = first_of(report, FindingKind::kWeightVersion);
+  ASSERT_NE(f, nullptr) << dump(report);
+  EXPECT_NE(f->message.find("starts, unreceived"), std::string::npos)
+      << f->message;
+  ASSERT_FALSE(f->witness.empty());
+  EXPECT_EQ(f->witness[0].rank, dst);
+}
+
+TEST(AnalysisStep, DpChainRecvFromWrongReplicaReported) {
+  // Mutation: replica 2's partial sum is taken from replica 0, which only
+  // ever sends it to replica 1.
+  const std::int64_t p = 2;
+  Program prog = step_program(p, 3, false, false);
+  const int rank = 2 * p;  // replica 2, worker 0
+  RecvOp* up = nullptr;
+  for (auto& op : prog.rank_ops[static_cast<std::size_t>(rank)]) {
+    auto* r = std::get_if<RecvOp>(&op);
+    if (r != nullptr && r->tag == wire_tags::kTagDpReduce) {
+      up = r;
+    }
+  }
+  ASSERT_NE(up, nullptr);
+  ASSERT_EQ(up->src, rank - p);
+  ASSERT_TRUE(up->accumulate);
+  up->src = 0;
+
+  const AnalysisReport report = analysis::analyze(prog);
+  const Finding* f = first_of(report, FindingKind::kUnmatchedRecv);
+  ASSERT_NE(f, nullptr) << dump(report);
+  EXPECT_NE(f->message.find("tag " + std::to_string(wire_tags::kTagDpReduce)),
+            std::string::npos)
+      << f->message;
+  ASSERT_FALSE(f->witness.empty());
+  EXPECT_EQ(f->witness[0].rank, rank);
+}
+
+TEST(AnalysisStep, SwappedVocabChainTagsReported) {
+  // Mutation: a middle rank of the vocab chain sends its partial sum on the
+  // broadcast tag and the total on the reduce tag.
+  Program prog = step_program(4, 1, true, false);
+  const int rank = 1;
+  int swapped = 0;
+  for (auto& op : prog.rank_ops[static_cast<std::size_t>(rank)]) {
+    if (auto* s = std::get_if<SendOp>(&op)) {
+      if (s->tag == wire_tags::kTagVocabUp) {
+        s->tag = wire_tags::kTagVocabDown;
+        ++swapped;
+      } else if (s->tag == wire_tags::kTagVocabDown) {
+        s->tag = wire_tags::kTagVocabUp;
+        ++swapped;
+      }
+    }
+  }
+  ASSERT_EQ(swapped, 2);
+
+  const AnalysisReport report = analysis::analyze(prog);
+  const Finding* f = first_of(report, FindingKind::kUnmatchedRecv);
+  ASSERT_NE(f, nullptr) << dump(report);
+  ASSERT_FALSE(f->witness.empty());
+  EXPECT_NE(describe_op_of(prog, f->witness[0]).find("vocab-grad"),
+            std::string::npos);
+}
+
+TEST(AnalysisStep, AccumulatingIntoAnotherChunkReported) {
+  // Rank 1 holds D chunk 1 and is told to add chunk 0 into it.
+  Program prog;
+  prog.name = "crossed-accumulate";
+  prog.rank_ops.resize(2);
+  prog.rank_ops[0] = {SendOp{1, 8.0, 12, false, MsgKind::kGradD, 0},
+                      RecvOp{1, 13, MsgKind::kGradD}};
+  prog.rank_ops[1] = {SendOp{0, 8.0, 13, false, MsgKind::kGradD, 1},
+                      RecvOp{0, 12, MsgKind::kGradD, -1, /*accumulate=*/true}};
+  const AnalysisReport report = analysis::analyze(prog);
+  const Finding* f = first_of(report, FindingKind::kGradAccumulation);
+  ASSERT_NE(f, nullptr) << dump(report);
+  EXPECT_NE(f->message.find("holds chunk 1"), std::string::npos)
+      << f->message;
+  EXPECT_EQ(f->witness.size(), 3u);  // recv, matched send, holding
 }
 
 // ---- Extended structural validation (sched::validate) ------------------------

@@ -4,10 +4,13 @@
 // the per-turn 3-chunk accounting (paper's 36 H^2) and the fp16 halving.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "baselines/fsdp_trainer.hpp"
 #include "baselines/pipeline_trainer.hpp"
 #include "core/accounting.hpp"
 #include "core/weipipe_trainer.hpp"
+#include "sched/wire_tags.hpp"
 
 namespace weipipe {
 namespace {
@@ -226,6 +229,55 @@ TEST(CommVolume, ActivationGradPrecisionAppliesToPipeline) {
   PipelineTrainer t16(cfg, 4);
   const TrainConfig cfg32 = base_config(2, 16);
   EXPECT_EQ(iteration_bytes(t16, cfg) * 2, iteration_bytes(t32, cfg32));
+}
+
+// Every message a trainer sends is a SendOp of the program it runs, the
+// redistribution and the DP, vocab and clip chains included: after one step
+// the fabric's per-tag message counts equal the program's per-tag sends.
+std::map<std::int64_t, std::uint64_t> program_sends(
+    const sched::Program& prog) {
+  std::map<std::int64_t, std::uint64_t> sends;
+  for (const auto& ops : prog.rank_ops) {
+    for (const sched::Op& op : ops) {
+      if (const auto* s = std::get_if<sched::SendOp>(&op)) {
+        ++sends[s->tag];
+      }
+    }
+  }
+  return sends;
+}
+
+std::map<std::int64_t, std::uint64_t> fabric_messages(
+    const comm::Fabric& fabric) {
+  std::map<std::int64_t, std::uint64_t> messages;
+  for (const auto& [tag, stats] : fabric.tag_stats()) {
+    messages[tag] = stats.messages;
+  }
+  return messages;
+}
+
+TEST(CommVolume, EveryMessageIsASendOfTheProgram) {
+  using namespace wire_tags;
+  TrainConfig cfg = base_config(1, 8);
+  cfg.clip.max_norm = 0.05f;
+  {
+    WeiPipeTrainer t(cfg, 2, {.dp_degree = 2, .replicate_vocab = true});
+    (void)iteration_bytes(t, cfg);
+    const auto sends = program_sends(t.program());
+    EXPECT_GT(sends.count(kTagRedistF) + sends.count(kTagRedistB), 0u);
+    for (std::int64_t tag : {kTagDpReduce, kTagDpBcast, kTagVocabUp,
+                             kTagVocabDown, kTagClipUp, kTagClipDown}) {
+      EXPECT_GT(sends.count(tag), 0u) << label(tag);
+    }
+    EXPECT_EQ(fabric_messages(*t.fabric()), sends) << t.name();
+  }
+  for (const PipelineMode mode : {PipelineMode::k1F1B, PipelineMode::kGPipe}) {
+    PipelineTrainer t(cfg, 4, {.mode = mode});
+    (void)iteration_bytes(t, cfg);
+    const auto sends = program_sends(t.program());
+    EXPECT_GT(sends.count(kTagClipUp), 0u) << t.name();
+    EXPECT_EQ(fabric_messages(*t.fabric()), sends) << t.name();
+  }
 }
 
 }  // namespace

@@ -167,40 +167,7 @@ TEST_P(TransportSuite, CollectivesAgreeAtEveryWorldSize) {
     const std::size_t n = 3;  // shard size
     run_workers(fabric, [&](int rank, Endpoint& ep) {
       const int p = world;
-      // all_gather: rank r's shard is [r*10, r*10+1, ...].
-      std::vector<float> shard(n), full(n * static_cast<std::size_t>(p));
-      for (std::size_t k = 0; k < n; ++k) {
-        shard[k] = static_cast<float>(rank * 10) + static_cast<float>(k);
-      }
-      ring_all_gather(ep, shard, full, WirePrecision::Fp32);
-      for (int r = 0; r < p; ++r) {
-        for (std::size_t k = 0; k < n; ++k) {
-          ASSERT_EQ(full[static_cast<std::size_t>(r) * n + k],
-                    static_cast<float>(r * 10) + static_cast<float>(k));
-        }
-      }
-      // reduce_scatter: every rank contributes (rank+1)*(i+1).
-      std::vector<float> contrib(n * static_cast<std::size_t>(p));
-      for (std::size_t i = 0; i < contrib.size(); ++i) {
-        contrib[i] = static_cast<float>((rank + 1) * (i + 1));
-      }
-      std::vector<float> reduced(n);
-      ring_reduce_scatter(ep, contrib, reduced, WirePrecision::Fp32);
       const float rank_sum = static_cast<float>(p * (p + 1) / 2);
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = static_cast<std::size_t>(rank) * n + k;
-        ASSERT_EQ(reduced[k], rank_sum * static_cast<float>(i + 1));
-      }
-      // all_reduce: buffer[i] = rank + i -> p*i + p*(p-1)/2.
-      std::vector<float> buf(n * static_cast<std::size_t>(p));
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        buf[i] = static_cast<float>(rank) + static_cast<float>(i);
-      }
-      ring_all_reduce(ep, buf, WirePrecision::Fp32);
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        ASSERT_EQ(buf[i], static_cast<float>(p) * static_cast<float>(i) +
-                              static_cast<float>(p * (p - 1) / 2));
-      }
       // scalar all-reduce, deterministic association.
       const double total = ring_all_reduce_scalar(ep, rank + 1.0);
       ASSERT_EQ(total, static_cast<double>(p * (p + 1) / 2));
@@ -225,7 +192,6 @@ TEST_P(TransportSuite, CollectivesAgreeAtEveryWorldSize) {
           ASSERT_EQ(root_out[k], rank_sum);
         }
       }
-      barrier(ep);
     });
   }
 }
